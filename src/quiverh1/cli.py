@@ -259,10 +259,12 @@ def run_oracle(doc: InputDocument, prime: Optional[int] = None, max_dim: int = e
         algebra = build_algebra(doc.body)
     rep = exactalg.regular_bimodule(algebra)
     out = RunReport(doc.name, _field_label(prime))
-    out.methods["oracle"] = exactalg.h1_oracle(rep, prime=prime)
+    dim_derivations = exactalg.derivation_space_dim(rep, prime=prime)
+    dim_inner = exactalg.inner_dim(rep, prime=prime)
+    out.methods["oracle"] = dim_derivations - dim_inner
     out.intermediates["dim_algebra"] = algebra.dimension
-    out.intermediates["dim_derivations"] = exactalg.derivation_space_dim(rep, prime=prime)
-    out.intermediates["dim_inner"] = exactalg.inner_dim(rep, prime=prime)
+    out.intermediates["dim_derivations"] = dim_derivations
+    out.intermediates["dim_inner"] = dim_inner
     if algebra.dimension <= max_dim:
         for deg in (0, 1, 2):
             out.checks[f"bar_h{deg}"] = exactalg.bar_cohomology_dim(rep, deg, prime=prime, max_dim=max_dim)
@@ -324,6 +326,8 @@ def _parse_field(spec: str) -> Optional[int]:
         p = int(spec[3:])
         if p < 2:
             raise ValueError("prime must be >= 2")
+        if not exactalg.is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         return p
     raise ValueError(f"unknown field {spec!r} (use 'q' or 'fp:<prime>')")
 

@@ -7,14 +7,16 @@ systems, never from floating point.
 
 Sparse conventions: a matrix row is a dict column -> nonzero scalar; a
 column-stored operator (action of a basis element) is a dict column ->
-(dict row -> scalar).  Scalars are ints or Fractions over Q, ints mod p
-over a prime field.
+(dict row -> scalar).  Scalars are ints, read as rationals over Q and
+reduced mod p over a prime field; ranks over Q come from fraction-free
+integer elimination, so no rational number is ever formed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from .errors import GuardExceeded, NotApplicable
@@ -41,44 +43,100 @@ class ExactMatrix:
 
     @classmethod
     def from_dense(cls, entries) -> "ExactMatrix":
+        """Build from a list of rows of integers; a non-integral entry raises ValueError."""
         data = []
         for row in entries:
-            data.append({j: Fraction(v) for j, v in enumerate(row) if v})
+            data.append({j: v for j, v in enumerate(map(_integer, row)) if v})
         cols = max((len(row) for row in entries), default=0)
         return cls(len(entries), cols, tuple(data))
 
 
+def _integer(v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"matrix entries must be integers, got {v!r}") from None
+
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2017); 12 bases only below 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_TEST_BOUND (deterministic Miller-Rabin)."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"modulus {n} is too large for the exact primality test (limit {PRIME_TEST_BOUND})")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in _MR_BASES:
+        x = pow(b, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _rank_sparse(rows: Iterable[Row], prime: Optional[int] = None) -> int:
-    """Rank by sparse Gaussian elimination; exact over Q, modular over GF(p).
+    """Rank of integer rows by sparse fraction-free elimination, over Q or GF(prime).
 
     Pivot rows are kept keyed by their leading (minimum) column, so reducing a
-    new row only ever introduces larger columns and terminates.
+    new row only ever introduces larger columns and terminates.  A pivot is
+    stored as its leading entry and the tuple of its other entries.  Over Q a
+    row is divided by the gcd of its entries (signed so that the leading
+    entry is positive) before it becomes a pivot, and reducing a row by a
+    pivot with leading entry a replaces it by (a/g)*row - (row[c]/g)*pivot,
+    g = gcd(a, row[c]); entries stay integers.  Over GF(prime) a pivot is
+    scaled once to leading entry 1, so a reduction is one multiply-subtract;
+    prime must be prime.
     """
-    pivots: dict = {}  # leading col -> reduced row
+    pivots: dict = {}  # leading col -> (leading entry, ((col, entry), ...))
     for row in rows:
-        row = {c: (v % prime if prime else v) for c, v in row.items() if (v % prime if prime else v)}
+        if prime:
+            row = {c: v % prime for c, v in row.items() if v % prime}
+        else:
+            row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
+            f = row.pop(c)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = row
+                if prime:
+                    inv = pow(f, -1, prime)
+                    pivots[c] = (1, tuple((k, v * inv % prime) for k, v in row.items()))
+                else:
+                    g = gcd(f, *row.values())
+                    if f < 0:
+                        g = -g
+                    pivots[c] = (f // g, tuple((k, v // g) for k, v in row.items()))
                 break
-            if prime:
-                factor = (row[c] * pow(piv[c], -1, prime)) % prime
-                for pc, pv in piv.items():
-                    nv = (row.get(pc, 0) - factor * pv) % prime
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        row.pop(pc, None)
-            else:
-                factor = Fraction(row[c], 1) / piv[c]
-                for pc, pv in piv.items():
-                    nv = row.get(pc, 0) - factor * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        row.pop(pc, None)
+            lead, tail = piv
+            if lead != 1:  # only over Q
+                g = gcd(lead, f)
+                lead, f = lead // g, f // g
+                if lead != 1:
+                    for k in row:
+                        row[k] *= lead
+            for pc, pv in tail:
+                nv = row.get(pc, 0) - f * pv
+                if prime:
+                    nv %= prime
+                if nv:
+                    row[pc] = nv
+                else:
+                    del row[pc]
     return len(pivots)
 
 
@@ -379,11 +437,8 @@ def bar_cohomology_dim(
     d, dx = x.algebra.dimension, x.dim
     if degree == 2 and d > max_dim:
         raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
-    if degree == 0:
-        return dx - _rank_sparse(_bar_coboundary_rows(x, 0), prime=prime)
-    rank0 = _rank_sparse(_bar_coboundary_rows(x, 0), prime=prime)
-    rank1 = _rank_sparse(_bar_coboundary_rows(x, 1), prime=prime)
-    if degree == 1:
-        return (d * dx - rank1) - rank0
-    rank2 = _rank_sparse(_bar_coboundary_rows(x, 2), prime=prime)
-    return (d * d * dx - rank2) - rank1
+    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1)), with dim C^n = d^n * dx
+    out = d**degree * dx - _rank_sparse(_bar_coboundary_rows(x, degree), prime=prime)
+    if degree > 0:
+        out -= _rank_sparse(_bar_coboundary_rows(x, degree - 1), prime=prime)
+    return out

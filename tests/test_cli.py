@@ -149,6 +149,25 @@ def test_main_prime_field(capsys):
     capsys.readouterr()
 
 
+def test_main_rejects_composite_moduli(capsys):
+    fx = str(FIXTURE_DIR)
+    for spec in ("fp:1", "fp:4", "fp:6", "fp:9", "fp:3317044064679887385961981"):
+        assert main(["oracle", "--field", spec, f"{fx}/cycle3-trunc2.quiver"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+def test_main_accepts_prime_moduli(capsys):
+    fx = str(FIXTURE_DIR)
+    for spec in ("fp:2", "fp:3", "fp:10007", "fp:2305843009213693951"):
+        assert main(["oracle", "--field", spec, "--json", f"{fx}/kronecker2.quiver"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["field"] == spec
+        assert payload["dim_h1"] == 3
+
+
 def test_main_missing_file(capsys):
     assert main(["oracle", "/no/such/file.quiver"]) == EXIT_INPUT
     capsys.readouterr()

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverh1.errors import GuardExceeded
 from quiverh1.exactalg import (
@@ -13,6 +16,7 @@ from quiverh1.exactalg import (
     h1_oracle,
     inner_dim,
     invariants_dim,
+    is_prime,
     kernel_dim,
     quotient_bimodule,
     rank,
@@ -50,6 +54,89 @@ def test_rank_needs_fractions():
     # forces non-integer elimination factors
     m = ExactMatrix.from_dense([[2, 3], [3, 5], [5, 8]])
     assert rank(m) == 2
+
+
+def reference_rank(rows, prime=None):
+    """The elimination kernel exactalg used before fraction-free elimination:
+    Fraction arithmetic over Q, an inverse per reduction step over GF(p)."""
+    pivots = {}
+    for row in rows:
+        row = {c: (v % prime if prime else v) for c, v in row.items() if (v % prime if prime else v)}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            if prime:
+                factor = (row[c] * pow(piv[c], -1, prime)) % prime
+            else:
+                factor = Fraction(row[c], 1) / piv[c]
+            for pc, pv in piv.items():
+                nv = row.get(pc, 0) - factor * pv
+                if prime:
+                    nv %= prime
+                if nv:
+                    row[pc] = nv
+                else:
+                    row.pop(pc, None)
+    return len(pivots)
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Up to 12 x 12: random sparse rows with entries -3..3, so that non-unit
+    pivots occur, then integer combinations of them, so that the rank over Q
+    falls short of the row count (a wrong elimination step on a full-rank
+    matrix would still find full rank)."""
+    cols = draw(st.integers(1, 12))
+    entry = st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3])
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=12))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)),
+                          max_size=12 - len(base)))
+    combos = [[sum(c * row[j] for c, row in zip(mix, base)) for j in range(cols)] for mix in mixes]
+    return draw(st.permutations(base + combos))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(sparse_int_matrices())
+def test_rank_matches_reference_kernel(entries):
+    m = ExactMatrix.from_dense(entries)
+    for prime in (None, 2, 3, 5, 10007):
+        assert rank(m, prime=prime) == reference_rank(m.data, prime=prime)
+
+
+def test_rank_leaves_input_rows_unchanged():
+    m = ExactMatrix.from_dense([[2, 3, 1], [3, 5, 0], [5, 8, 1]])
+    before = [dict(r) for r in m.data]
+    for prime in (None, 7):
+        rank(m, prime=prime)
+    assert list(m.data) == before
+
+
+def test_from_dense_requires_integers():
+    assert ExactMatrix.from_dense([[0, 2], [True, 0]]).data == ({1: 2}, {0: 1})
+    for bad in (0.5, 1.0, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_dense([[1, bad]])
+
+
+def test_is_prime():
+    n = 2000
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, n):
+        if sieve[i]:
+            for j in range(i * i, n, i):
+                sieve[j] = False
+    assert [k for k in range(-3, n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    assert is_prime(10007) and is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert not is_prime(2**61 + 1) and not is_prime(561)
+    with pytest.raises(ValueError):
+        is_prime(10**25)
 
 
 def test_center_examples():
