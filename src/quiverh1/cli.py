@@ -67,9 +67,6 @@ class RunReport:
         values = set(self.methods.values())
         return len(values) <= 1
 
-    def primary_method(self) -> str:
-        return next(iter(self.methods), "")
-
     def to_json(self) -> dict:
         dims = list(self.methods.values())
         return {
@@ -89,7 +86,7 @@ def parse(text: str) -> InputDocument:
     vertices: list[str] = []
     arrows: list[Arrow] = []
     arrow_by_name: dict[str, Arrow] = {}
-    monomials: list[list[str]] = []
+    monomials: list[tuple[int, list[str]]] = []  # (line, arrow names)
     truncate: Optional[int] = None
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
@@ -139,7 +136,7 @@ def parse(text: str) -> InputDocument:
                 for nm in tokens[2:]:
                     if nm not in arrow_by_name:
                         raise ParseError(lineno, f"unresolved name: arrow {nm!r}")
-                monomials.append(tokens[2:])
+                monomials.append((lineno, tokens[2:]))
             elif head == "relation" and len(tokens) == 3 and tokens[1] == "truncate":
                 if monomials:
                     raise ParseError(lineno, "cannot mix 'monomial' and 'truncate' relations")
@@ -191,12 +188,12 @@ def parse(text: str) -> InputDocument:
             scheme = TruncationIdeal(truncate)
         elif monomials:
             gens = []
-            for names in monomials:
+            for lineno, names in monomials:
                 seq = [arrow_by_name[n] for n in names]
                 try:
                     gens.append(Path(seq[0].source, seq))
                 except ValueError as exc:
-                    raise ParseError(1, f"relation is not a path: {exc}")
+                    raise ParseError(lineno, f"relation is not a path: {exc}")
             scheme = check_minimal(quiver, gens)
         else:
             scheme = None
@@ -266,8 +263,8 @@ def run_oracle(doc: InputDocument, prime: Optional[int] = None, max_dim: int = e
     out.intermediates["dim_derivations"] = dim_derivations
     out.intermediates["dim_inner"] = dim_inner
     if algebra.dimension <= max_dim:
-        for deg in (0, 1, 2):
-            out.checks[f"bar_h{deg}"] = exactalg.bar_cohomology_dim(rep, deg, prime=prime, max_dim=max_dim)
+        bar = exactalg.bar_cohomology_dims(rep, (0, 1, 2), prime=prime, max_dim=max_dim)
+        out.checks.update({f"bar_h{deg}": dim for deg, dim in bar.items()})
         out.checks["bar_h1_matches"] = out.checks["bar_h1"] == out.methods["oracle"]
     out.elapsed = time.perf_counter() - t0
     return out

@@ -428,17 +428,25 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int):
     return rows
 
 
+def bar_cohomology_dims(
+    x: BimoduleRep, degrees: tuple[int, ...], prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
+) -> dict[int, int]:
+    """Hochschild cohomology at each of the degrees (0, 1 or 2) from the standard
+    cochain complex; each coboundary needed is assembled and ranked once."""
+    if not set(degrees) <= {0, 1, 2}:
+        raise ValueError("degree must be 0, 1 or 2")
+    d, dx = x.algebra.dimension, x.dim
+    if 2 in degrees and d > max_dim:
+        raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
+    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1)), with dim C^n = d^n * dx
+    ranks = {-1: 0}
+    for m in sorted({m for n in degrees for m in (n - 1, n) if m >= 0}):
+        ranks[m] = _rank_sparse(_bar_coboundary_rows(x, m), prime=prime)
+    return {n: d**n * dx - ranks[n] - ranks[n - 1] for n in degrees}
+
+
 def bar_cohomology_dim(
     x: BimoduleRep, degree: int, prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
 ) -> int:
     """Hochschild cohomology at degree 0, 1 or 2 from the standard cochain complex."""
-    if degree not in (0, 1, 2):
-        raise ValueError("degree must be 0, 1 or 2")
-    d, dx = x.algebra.dimension, x.dim
-    if degree == 2 and d > max_dim:
-        raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
-    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1)), with dim C^n = d^n * dx
-    out = d**degree * dx - _rank_sparse(_bar_coboundary_rows(x, degree), prime=prime)
-    if degree > 0:
-        out -= _rank_sparse(_bar_coboundary_rows(x, degree - 1), prime=prime)
-    return out
+    return bar_cohomology_dims(x, (degree,), prime=prime, max_dim=max_dim)[degree]

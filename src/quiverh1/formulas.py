@@ -14,6 +14,7 @@ Kronecker quiver, with n^2 - 1 > n - 1, rules out the opposite direction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import NotApplicable, FormulaUnavailable
 from .exactalg import center_dim
@@ -27,7 +28,6 @@ from .presentations import (
     contains_generator,
     is_pregenerated_monomial,
     truncated_is_pregenerated,
-    truncation_generators,
 )
 from .quiver import (
     ParallelPair,
@@ -201,21 +201,19 @@ def h1_path_algebra_acyclic(quiver: Quiver) -> H1Report:
 
 
 def h1_pregenerated(presentation: AlgebraPresentation,
-                    algebra: StructureConstantAlgebra) -> H1Report:
-    """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals)."""
-    q = presentation.quiver
-    kind = presentation.kind
-    if kind == "monomial":
-        if not is_pregenerated_monomial(q, presentation.scheme):
-            raise NotApplicable("not pre-generated")
-    elif kind == "truncated":
-        if not truncated_is_pregenerated(q, presentation.scheme.m):
-            raise NotApplicable("not pre-generated")
-    elif kind == "none":
-        if not is_acyclic(q):
-            raise NotApplicable("not pre-generated: zero ideal needs an acyclic quiver")
-    else:
+                    algebra: Optional[StructureConstantAlgebra] = None) -> H1Report:
+    """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals);
+    the algebra is built from the presentation, when not given, once the precondition holds."""
+    q, kind, scheme = presentation.quiver, presentation.kind, presentation.scheme
+    if kind == "incidence":
         raise NotApplicable("pre-generated test is not defined for incidence presentations")
+    if kind == "none" and not is_acyclic(q):
+        raise NotApplicable("not pre-generated: zero ideal needs an acyclic quiver")
+    if (kind == "monomial" and not is_pregenerated_monomial(q, scheme)
+            or kind == "truncated" and not truncated_is_pregenerated(q, scheme.m)):
+        raise NotApplicable("not pre-generated")
+    if algebra is None:
+        algebra = build_algebra(presentation)
     dim_center = center_dim(algebra)
     diag = sum(algebra.slice_dim(x, x) for x in q.vertices)
     weighted = 0
@@ -283,11 +281,7 @@ def classify_and_compute(presentation: AlgebraPresentation) -> H1Report:
         return h1_truncated_acyclic(q, presentation.scheme.m)
     if kind == "monomial" and acyclic:
         return h1_monomial_acyclic(q, presentation.scheme)
-    if kind == "truncated" and truncated_is_pregenerated(q, presentation.scheme.m):
-        return h1_pregenerated(presentation, build_algebra(presentation))
-    if kind == "monomial":
-        from .presentations import is_admissible_monomial
-
-        if is_admissible_monomial(q, presentation.scheme) and is_pregenerated_monomial(q, presentation.scheme):
-            return h1_pregenerated(presentation, build_algebra(presentation))
-    raise FormulaUnavailable("formula unavailable, use oracle")
+    try:
+        return h1_pregenerated(presentation)
+    except NotApplicable:
+        raise FormulaUnavailable("formula unavailable, use oracle") from None

@@ -20,10 +20,8 @@ from .quiver import (
     Path,
     Quiver,
     VertexId,
-    compose,
     enumerate_paths,
     is_acyclic,
-    trivial_path,
     validate,
 )
 
@@ -37,6 +35,9 @@ class MonomialIdeal:
     def __init__(self, generators: Iterable[Path]):
         gens = sorted(set(generators), key=Path.sort_key)
         object.__setattr__(self, "generators", tuple(gens))
+        # arrow-name tuples of the generators, and their lengths, for matching
+        object.__setattr__(self, "names", frozenset(z.arrow_names() for z in gens))
+        object.__setattr__(self, "lengths", tuple(sorted({z.length for z in gens})))
 
     @property
     def max_generator_length(self) -> int:
@@ -77,16 +78,12 @@ class AlgebraPresentation:
         return "incidence"
 
 
-def _subseq_at(hay: tuple[str, ...], needle: tuple[str, ...], pos: int) -> bool:
-    return hay[pos : pos + len(needle)] == needle
-
-
 def _occurrences(p: Path, z: Path) -> list[int]:
     """Start indices of z's arrow sequence inside p's."""
     hay, needle = p.arrow_names(), z.arrow_names()
     if not needle or len(needle) > len(hay):
         return []
-    return [i for i in range(len(hay) - len(needle) + 1) if _subseq_at(hay, needle, i)]
+    return [i for i in range(len(hay) - len(needle) + 1) if hay[i : i + len(needle)] == needle]
 
 
 def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
@@ -105,9 +102,15 @@ def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
     return ideal
 
 
+def _generator_spans(names: tuple[str, ...], Z: MonomialIdeal) -> list[tuple[int, int]]:
+    """(start, end) of every generator occurrence in an arrow-name sequence."""
+    return [(i, i + n) for n in Z.lengths for i in range(len(names) - n + 1)
+            if names[i : i + n] in Z.names]
+
+
 def contains_generator(p: Path, Z: MonomialIdeal) -> bool:
     """True iff some generator occurs as a contiguous sub-path of p."""
-    return any(_occurrences(p, z) for z in Z.generators)
+    return bool(_generator_spans(p.arrow_names(), Z))
 
 
 # --- avoidance automaton -----------------------------------------------------
@@ -121,15 +124,13 @@ _State = tuple[VertexId, tuple[str, ...]]
 
 
 def _automaton(quiver: Quiver, Z: MonomialIdeal):
-    gen_names = [z.arrow_names() for z in Z.generators]
     keep = max(Z.max_generator_length - 1, 0)
     out = {v: quiver.arrows_from(v) for v in quiver.vertices}
 
     def step(state: _State, a: Arrow) -> Optional[_State]:
         seq = state[1] + (a.name,)
-        for g in gen_names:
-            if len(g) <= len(seq) and seq[-len(g):] == g:
-                return None
+        if any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
+            return None
         return (a.target, seq[-keep:] if keep else ())
 
     edges: dict[_State, list[_State]] = {}
@@ -182,70 +183,65 @@ def is_admissible_monomial(quiver: Quiver, Z: MonomialIdeal) -> bool:
 
 
 def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
-    """All paths (including trivial ones) avoiding every generator, sorted."""
-    if is_acyclic(quiver):
-        return [p for p in enumerate_paths(quiver) if not contains_generator(p, Z)]
+    """All paths (including trivial ones) avoiding every generator, sorted.
+
+    One depth-first search extends a path only while no generator is a suffix
+    of it; every prefix of an avoiding path avoids Z, so all of them are reached.
+    """
     if not is_admissible_monomial(quiver, Z):
         raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
-    gen_names = [z.arrow_names() for z in Z.generators]
     out = {v: quiver.arrows_from(v) for v in quiver.vertices}
     result: list[Path] = []
-    stack: list[Path] = [trivial_path(v) for v in quiver.vertices]
+    stack = [(v, v, (), ()) for v in quiver.vertices]  # source, target, arrows, names
     while stack:
-        p = stack.pop()
-        result.append(p)
-        for a in out[p.target]:
-            seq = p.arrow_names() + (a.name,)
-            if any(len(g) <= len(seq) and seq[-len(g):] == g for g in gen_names):
-                continue
-            stack.append(Path(p.source, p.arrows + (a,)))
+        source, target, arrows, names = stack.pop()
+        result.append(Path(source, arrows))
+        for a in out[target]:
+            seq = names + (a.name,)
+            if not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
+                stack.append((source, a.target, arrows + (a,), seq))
     result.sort(key=Path.sort_key)
     return result
 
 
-def _enumeration_bound(quiver: Quiver, Z: MonomialIdeal) -> Optional[int]:
-    """Path-length bound for slice counting; None means enumerate everything (acyclic)."""
-    if is_acyclic(quiver):
-        return None
-    longest = max_avoiding_length(quiver, Z)
-    if longest is None:
-        raise NotApplicable("infinite slice: cyclic quiver with non-admissible ideal")
-    return longest + Z.max_generator_length
+def _slice_table(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], tuple[int, int, int]]:
+    """(x, y) -> (dim yIx, dim y(FI+IF)x, dim y(kQ)x), from one path enumeration.
+
+    A path lies in FI+IF when some generator occurrence in it is not the whole
+    path.  On a cyclic-but-admissible quiver the counts stop at the admissibility
+    bound, under which all avoiding paths and generators fit; this still decides
+    the pre-generated alternative.
+    """
+    bound = None  # acyclic: every path
+    if not is_acyclic(quiver):
+        longest = max_avoiding_length(quiver, Z)
+        if longest is None:
+            raise NotApplicable("pre-generated test requires an admissible ideal")
+        bound = longest + Z.max_generator_length
+    table: dict[tuple[VertexId, VertexId], tuple[int, int, int]] = {}
+    for p in enumerate_paths(quiver, max_length=bound):
+        spans = _generator_spans(p.arrow_names(), Z)
+        dim_I, dim_FIIF, dim_total = table.get((p.source, p.target), (0, 0, 0))
+        table[(p.source, p.target)] = (
+            dim_I + bool(spans),
+            dim_FIIF + any(i > 0 or j < p.length for (i, j) in spans),
+            dim_total + 1,
+        )
+    return table
 
 
 def slice_ideal_dims(
     quiver: Quiver, Z: MonomialIdeal, x: VertexId, y: VertexId
 ) -> tuple[int, int, int]:
-    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x), counted on paths from x to y.
-
-    On a cyclic-but-admissible quiver the counts are truncated at the
-    admissibility bound; this still decides the pre-generated alternative
-    since avoiding paths and generators all fit under the bound.
-    """
-    bound = _enumeration_bound(quiver, Z)
-    dim_I = dim_FIIF = dim_total = 0
-    for p in enumerate_paths(quiver, max_length=bound):
-        if p.source != x or p.target != y:
-            continue
-        dim_total += 1
-        occs = [(i, i + z.length) for z in Z.generators for i in _occurrences(p, z)]
-        if occs:
-            dim_I += 1
-            if any(i > 0 or j < p.length for (i, j) in occs):
-                dim_FIIF += 1
-    return dim_I, dim_FIIF, dim_total
+    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x), counted on paths from x to y."""
+    return _slice_table(quiver, Z).get((x, y), (0, 0, 0))
 
 
 def is_pregenerated_monomial(quiver: Quiver, Z: MonomialIdeal) -> bool:
-    """Each vertex-pair slice of the ideal is full or equals the FI+IF slice."""
-    if not is_admissible_monomial(quiver, Z):
-        raise NotApplicable("pre-generated test requires an admissible ideal")
-    for x in quiver.vertices:
-        for y in quiver.vertices:
-            dim_I, dim_FIIF, dim_total = slice_ideal_dims(quiver, Z, x, y)
-            if dim_I != dim_total and dim_I != dim_FIIF:
-                return False
-    return True
+    """Each vertex-pair slice of the ideal is full or equals the FI+IF slice;
+    raises NotApplicable when the ideal is not admissible."""
+    return all(dim_I in (dim_total, dim_FIIF) for dim_I, dim_FIIF, dim_total in
+               _slice_table(quiver, Z).values())
 
 
 def truncated_is_pregenerated(quiver: Quiver, m: int) -> bool:
@@ -261,13 +257,9 @@ def truncated_is_pregenerated(quiver: Quiver, m: int) -> bool:
     return True
 
 
-def all_paths_of_length(quiver: Quiver, m: int) -> list[Path]:
-    return [p for p in enumerate_paths(quiver, max_length=m) if p.length == m]
-
-
 def truncation_generators(quiver: Quiver, m: int) -> MonomialIdeal:
     """The truncating ideal as a monomial ideal: all paths of length exactly m."""
-    return MonomialIdeal(all_paths_of_length(quiver, m))
+    return MonomialIdeal(p for p in enumerate_paths(quiver, max_length=m) if p.length == m)
 
 
 # --- structure-constant algebras ---------------------------------------------
@@ -322,15 +314,27 @@ class StructureConstantAlgebra:
         return sum(1 for p in self.basis_paths if p.source == x and p.target == y)
 
     def check(self) -> "StructureConstantAlgebra":
-        """Assert associativity on all basis triples and the unit/idempotent axioms."""
+        """Assert associativity on all basis triples and the unit/idempotent axioms.
+
+        Only triples where a product can be nonzero are visited.  With the
+        table grouped into rows (rows[i][j] = b_i b_j), (b_i b_j) b_k is a
+        combination of the b_l b_k for l in b_i b_j, so it is zero unless k is
+        in rows[l] for such an l; b_i (b_j b_k) is zero unless k is in rows[j].
+        On every other triple both sides are zero and associativity holds, so
+        this tests the same property as the loop over all d^3 triples, and
+        visiting in lexicographic order reports the same first failure.
+        """
         d = self.dimension
-        for i in range(d):
+        rows: dict[int, dict[int, Combo]] = {}
+        for (i, j), combo in self.table.items():
+            rows.setdefault(i, {})[j] = combo
+        for i in sorted(rows):
             for j in range(d):
-                pij = self.product_basis(i, j)
-                for k in range(d):
-                    left = self.multiply(pij, {k: 1})
-                    right = self.multiply({i: 1}, self.product_basis(j, k))
-                    if left != right:
+                pij = rows[i].get(j, {})
+                row_j = rows.get(j, {})
+                ks = set(row_j).union(*(rows.get(l, ()) for l in pij))
+                for k in sorted(ks):
+                    if self.multiply(pij, {k: 1}) != self.multiply({i: 1}, row_j.get(k, {})):
                         raise AssertionError(
                             f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
                         )
@@ -353,20 +357,16 @@ class StructureConstantAlgebra:
 
 
 def _path_basis_algebra(quiver: Quiver, paths: list[Path]) -> StructureConstantAlgebra:
-    index = {(p.source, p.arrow_names()): i for i, p in enumerate(paths)}
+    names = [p.arrow_names() for p in paths]
+    index = {(p.source, names[i]): i for i, p in enumerate(paths)}
     table: dict[tuple[int, int], Combo] = {}
     for i, p in enumerate(paths):
         for j, q in enumerate(paths):
-            pq = compose(p, q)
-            if pq is None:
-                continue
-            k = index.get((pq.source, pq.arrow_names()))
-            if k is not None:
-                table[(i, j)] = {k: 1}
-    idem = {}
-    for i, p in enumerate(paths):
-        if p.is_trivial:
-            idem[p.source] = i
+            if p.target == q.source:
+                k = index.get((p.source, names[i] + names[j]))
+                if k is not None:
+                    table[(i, j)] = {k: 1}
+    idem = {p.source: i for i, p in enumerate(paths) if p.is_trivial}
     unit = {i: 1 for i in idem.values()}
     return StructureConstantAlgebra(
         tuple(p.label() for p in paths), table, unit, idem, tuple(paths)
@@ -374,7 +374,8 @@ def _path_basis_algebra(quiver: Quiver, paths: list[Path]) -> StructureConstantA
 
 
 def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra:
-    """Materialize the presentation as structure constants; checks associativity."""
+    """Materialize the presentation as structure constants on its path basis and verify
+    them with ``check()``, which visits only the triples where a product can be nonzero."""
     kind = presentation.kind
     q = presentation.quiver
     if kind == "incidence":

@@ -171,3 +171,31 @@ def test_main_accepts_prime_moduli(capsys):
 def test_main_missing_file(capsys):
     assert main(["oracle", "/no/such/file.quiver"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_parse_reports_the_line_of_a_relation_that_is_not_a_path():
+    text = (
+        "quiver q\nvertex x\nvertex y\narrow a x y\narrow b x y\n"
+        "relation monomial a a\n# a comment\nrelation monomial a b\nend\n"
+    )
+    with pytest.raises(ParseError, match="relation is not a path") as exc:
+        parse(text)
+    assert exc.value.line == 6
+
+
+def test_main_cyclic_formula_statuses(tmp_path, capsys):
+    docs = {
+        # a cycle with an ideal that leaves x->y->x->... avoiding it: infinite basis
+        "nonadmissible": "arrow a x y\narrow b y x\narrow d x x\nrelation monomial a b\n",
+        "norelations": "arrow a x y\narrow b y x\n",
+        "pregenerated": "arrow a x y\narrow b y z\narrow c z x\n"
+        "relation monomial a b\nrelation monomial b c\nrelation monomial c a\n",
+    }
+    status = {}
+    for name, body in docs.items():
+        f = tmp_path / f"{name}.quiver"
+        f.write_text(f"quiver {name}\nvertex x\nvertex y\nvertex z\n{body}end\n")
+        status[name] = main(["formula", str(f)])
+    assert status == {"nonadmissible": EXIT_UNSUPPORTED, "norelations": EXIT_UNSUPPORTED,
+                      "pregenerated": EXIT_OK}
+    capsys.readouterr()

@@ -10,6 +10,7 @@ from quiverh1.exactalg import (
     BimoduleRep,
     ExactMatrix,
     bar_cohomology_dim,
+    bar_cohomology_dims,
     center_dim,
     derivation_space_dim,
     derivations_with_coefficients,
@@ -283,3 +284,28 @@ def test_bimodule_validation_rejects_garbage():
     broken = BimoduleRep(alg, rep.dim, rep.right, rep.left)  # swapped actions
     with pytest.raises(AssertionError):
         broken.validate()
+
+
+def test_bar_dims_rank_each_coboundary_once(monkeypatch):
+    from quiverh1 import exactalg
+
+    assembled = []
+    real = exactalg._bar_coboundary_rows
+    monkeypatch.setattr(exactalg, "_bar_coboundary_rows", lambda x, n: assembled.append(n) or real(x, n))
+    q = branch()
+    for alg in (
+        build_algebra(AlgebraPresentation(kronecker(2))),
+        build_algebra(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")]))),
+        build_algebra(AlgebraPresentation(cycle(3), TruncationIdeal(2))),
+    ):
+        rep = regular_bimodule(alg)
+        d = alg.dimension
+        ranks = [exactalg._rank_sparse(real(rep, n)) for n in range(3)]
+        expected = {0: d - ranks[0], 1: d * d - ranks[0] - ranks[1], 2: d**3 - ranks[1] - ranks[2]}
+        assembled.clear()
+        assert bar_cohomology_dims(rep, (0, 1, 2)) == expected
+        assert assembled == [0, 1, 2]
+        assert {n: bar_cohomology_dim(rep, n) for n in range(3)} == expected
+        assert bar_cohomology_dims(rep, (2,)) == {2: expected[2]}
+    with pytest.raises(ValueError):
+        bar_cohomology_dims(rep, (1, 3))

@@ -253,3 +253,33 @@ def test_formulas_match_oracle_on_fixed_examples():
         formula = classify_and_compute(pres).dim_h1
         oracle = h1_oracle(regular_bimodule(build_algebra(pres)))
         assert formula == oracle
+
+
+def test_dispatch_runs_the_pregenerated_test_once(monkeypatch):
+    from quiverh1 import formulas
+
+    calls = []
+    for name in ("is_pregenerated_monomial", "truncated_is_pregenerated", "build_algebra"):
+        real = getattr(formulas, name)
+        monkeypatch.setattr(formulas, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    c4 = cycle(4)
+    assert classify_and_compute(AlgebraPresentation(c4, truncation_generators(c4, 2))).method == "pregenerated"
+    assert calls == ["is_pregenerated_monomial", "build_algebra"]
+    calls.clear()
+    assert classify_and_compute(AlgebraPresentation(c4, TruncationIdeal(2))).method == "pregenerated"
+    assert calls == ["truncated_is_pregenerated", "build_algebra"]
+    calls.clear()
+    with pytest.raises(FormulaUnavailable, match="formula unavailable, use oracle"):
+        classify_and_compute(AlgebraPresentation(c4, TruncationIdeal(4)))
+    assert calls == ["truncated_is_pregenerated"]  # no algebra is built when the test fails
+
+
+def test_h1_pregenerated_builds_its_own_algebra():
+    for pres in (
+        AlgebraPresentation(cycle(3), TruncationIdeal(2)),
+        AlgebraPresentation(cycle(5), truncation_generators(cycle(5), 3)),
+        AlgebraPresentation(kronecker(2)),
+    ):
+        assert h1_pregenerated(pres) == h1_pregenerated(pres, build_algebra(pres))
+    with pytest.raises(NotApplicable, match="requires an admissible ideal"):
+        h1_pregenerated(AlgebraPresentation(cycle(3), MonomialIdeal([])))

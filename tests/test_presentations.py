@@ -2,12 +2,16 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverh1.errors import InfiniteBasis, InvalidIdeal
 from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
+    StructureConstantAlgebra,
     TruncationIdeal,
+    _occurrences,
     basis_B,
     build_algebra,
     check_minimal,
@@ -20,6 +24,7 @@ from quiverh1.presentations import (
     truncation_generators,
 )
 from quiverh1.quiver import Arrow, Quiver, connected_components, enumerate_paths, is_acyclic
+from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import a2, a3, branch, cycle, kronecker, path_of, random_connected_dag, random_minimal_ideal
 
@@ -262,3 +267,144 @@ def test_algebra_check_catches_bad_table():
     )
     with pytest.raises(AssertionError):
         bad.check()
+
+
+# --- the one-pass routes against the code they replaced ------------------------
+
+
+def reference_check(alg):
+    """The all-triples check() that the row-grouped one replaced, kept as the reference."""
+    d = alg.dimension
+    for i in range(d):
+        for j in range(d):
+            pij = alg.product_basis(i, j)
+            for k in range(d):
+                left = alg.multiply(pij, {k: 1})
+                right = alg.multiply({i: 1}, alg.product_basis(j, k))
+                if left != right:
+                    raise AssertionError(
+                        f"associativity failure at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+                    )
+    for i in range(d):
+        if alg.multiply(alg.unit, {i: 1}) != {i: 1} or alg.multiply({i: 1}, alg.unit) != {i: 1}:
+            raise AssertionError(f"unit failure at {alg.basis[i]}")
+    idems = list(alg.vertex_idempotents.items())
+    total = {}
+    for v, i in idems:
+        if alg.product_basis(i, i) != {i: 1}:
+            raise AssertionError(f"vertex element {v} is not idempotent")
+        total[i] = total.get(i, 0) + 1
+    for (v, i) in idems:
+        for (w, j) in idems:
+            if v != w and alg.product_basis(i, j):
+                raise AssertionError(f"idempotents {v}, {w} are not orthogonal")
+    if total != alg.unit:
+        raise AssertionError("vertex idempotents do not sum to the unit")
+
+
+def _seeded_algebra(family: str, seed: int):
+    rng = random.Random(seed)
+    if family == "monomial":
+        while True:
+            q = random_connected_dag(rng, max_vertices=4, max_arrows=5)
+            alg = build_algebra(AlgebraPresentation(q, random_minimal_ideal(rng, q)))
+            if alg.dimension <= 14:
+                return alg
+    if family == "truncated":
+        return build_algebra(AlgebraPresentation(cycle(rng.randint(1, 4)), TruncationIdeal(rng.randint(2, 4))))
+    elements = [f"p{i}" for i in range(rng.randint(1, 5))]
+    pairs = [(a, b) for i, a in enumerate(elements) for b in elements[i + 1 :] if rng.random() < 0.4]
+    return incidence_algebra(Poset.from_pairs(elements, pairs))
+
+
+def _outcome(check, alg):
+    try:
+        check(alg)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence"]),
+    seed=st.integers(0, 2**32 - 1),
+    mutation=st.sampled_from(["redirect", "drop", "add"]),
+    pick=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 2**32 - 1),
+)
+def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, mutation, pick, target):
+    alg = _seeded_algebra(family, seed)
+    d = alg.dimension
+    table = dict(alg.table)
+    present = sorted(table)
+    absent = [(i, j) for i in range(d) for j in range(d) if (i, j) not in table]
+    if mutation == "redirect":
+        key = present[pick % len(present)]
+        table[key] = {target % d: 1}
+    elif mutation == "drop":
+        del table[present[pick % len(present)]]
+    elif absent:
+        table[absent[pick % len(absent)]] = {target % d: 1}
+    bad = StructureConstantAlgebra(alg.basis, table, alg.unit, alg.vertex_idempotents, alg.basis_paths)
+    assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
+
+
+def _reference_bound(q, Z):
+    return None if is_acyclic(q) else max_avoiding_length(q, Z) + Z.max_generator_length
+
+
+def reference_basis(q, Z):
+    """The enumerate-then-filter basis that the avoidance search replaced."""
+    return [
+        p for p in enumerate_paths(q, max_length=_reference_bound(q, Z))
+        if not any(_occurrences(p, z) for z in Z.generators)
+    ]
+
+
+def reference_slice_dims(q, Z, x, y):
+    """The per-pair slice count that the one-pass table replaced."""
+    dim_I = dim_FIIF = dim_total = 0
+    for p in enumerate_paths(q, max_length=_reference_bound(q, Z)):
+        if p.source != x or p.target != y:
+            continue
+        dim_total += 1
+        occs = [(i, i + z.length) for z in Z.generators for i in _occurrences(p, z)]
+        if occs:
+            dim_I += 1
+            if any(i > 0 or j < p.length for (i, j) in occs):
+                dim_FIIF += 1
+    return dim_I, dim_FIIF, dim_total
+
+
+def _one_pass_instances(monomial_instances):
+    cycles = [(cycle(n), truncation_generators(cycle(n), m)) for n, m in ((6, 3), (8, 4), (10, 5))]
+    return list(monomial_instances) + cycles
+
+
+def test_basis_B_matches_enumerate_then_filter(monomial_instances):
+    for q, Z in _one_pass_instances(monomial_instances):
+        assert basis_B(q, Z) == reference_basis(q, Z)
+
+
+def test_slice_dims_match_per_pair_count(monomial_instances):
+    for q, Z in _one_pass_instances(monomial_instances):
+        for x in q.vertices:
+            for y in q.vertices:
+                assert slice_ideal_dims(q, Z, x, y) == reference_slice_dims(q, Z, x, y)
+
+
+def test_pregenerated_test_enumerates_paths_once(monkeypatch):
+    from quiverh1 import presentations
+
+    q = cycle(10)
+    Z = truncation_generators(q, 3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "enumerate_paths", counted)
+    assert is_pregenerated_monomial(q, Z)
+    assert len(calls) == 1
