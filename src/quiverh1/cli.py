@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import exactalg, formulas, simplicial
-from .errors import FormulaUnavailable, GuardExceeded, ParseError, QuiverH1Error
+from .errors import FormulaUnavailable, GuardExceeded, InvalidIdeal, ParseError, QuiverH1Error
 from .presentations import (
     AlgebraPresentation,
     MonomialIdeal,
@@ -188,13 +188,18 @@ def parse(text: str) -> InputDocument:
             scheme = TruncationIdeal(truncate)
         elif monomials:
             gens = []
+            line_of: dict[tuple[str, ...], int] = {}
             for lineno, names in monomials:
                 seq = [arrow_by_name[n] for n in names]
                 try:
                     gens.append(Path(seq[0].source, seq))
                 except ValueError as exc:
                     raise ParseError(lineno, f"relation is not a path: {exc}")
-            scheme = check_minimal(quiver, gens)
+                line_of.setdefault(tuple(names), lineno)
+            try:
+                scheme = check_minimal(quiver, gens)
+            except InvalidIdeal as exc:
+                raise ParseError(line_of[exc.generator.arrow_names()], str(exc))
         else:
             scheme = None
     except ParseError:
@@ -366,10 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report = run_check(doc, prime=prime, max_dim=args.max_dim)
             else:
                 report = run_poset(doc, prime=prime)
-        except FormulaUnavailable as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        except GuardExceeded as exc:
+        except (FormulaUnavailable, GuardExceeded) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED
         except QuiverH1Error as exc:

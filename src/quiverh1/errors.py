@@ -18,7 +18,12 @@ class InfiniteBasis(QuiverH1Error):
 
 
 class InvalidIdeal(QuiverH1Error):
-    """A monomial generating set violates minimality or the length >= 2 requirement."""
+    """A monomial generating set violates minimality or the length >= 2 requirement;
+    ``generator`` is the offending generator, when there is one."""
+
+    def __init__(self, message: str, generator=None):
+        super().__init__(message)
+        self.generator = generator
 
 
 class NotApplicable(QuiverH1Error):

@@ -5,9 +5,10 @@ Everything runs over the exact rationals by default; a prime-field mode
 dimensions are obtained from exact ranks of sparse coboundary/Leibniz
 systems, never from floating point.
 
-Sparse conventions: a matrix row is a dict column -> nonzero scalar; a
-column-stored operator (action of a basis element) is a dict column ->
-(dict row -> scalar).  Scalars are ints, read as rationals over Q and
+Sparse conventions: a matrix row is a dict column -> nonzero scalar.  An
+algebra multiplies basis elements to a basis element or zero, so the action
+of a basis element on a bimodule is an index map m -> n (x_m goes to x_n;
+absent m goes to zero).  Scalars are ints, read as rationals over Q and
 reduced mod p over a prime field; ranks over Q come from fraction-free
 integer elimination, so no rational number is ever formed.
 """
@@ -21,10 +22,8 @@ from typing import Iterable, Optional
 
 from .errors import GuardExceeded, NotApplicable
 from .presentations import Combo, StructureConstantAlgebra
-from .quiver import Quiver, is_acyclic
 
 Row = dict  # column -> scalar
-ColOp = dict  # column -> {row -> scalar}
 
 DEFAULT_DEGREE2_GUARD = 12
 
@@ -151,50 +150,26 @@ def kernel_dim(m: ExactMatrix, prime: Optional[int] = None) -> int:
 # --- bimodules ---------------------------------------------------------------
 
 
-def _col_apply(op: ColOp, vec: dict) -> dict:
+def _then(a: dict, b: dict) -> dict:
+    """The index map 'apply a, then b'."""
+    return {m: b[n] for m, n in a.items() if n in b}
+
+
+def _combo(ops, combo: Combo) -> dict:
+    """The operator sum of c * ops[k] over combo, as {(m, n): nonzero coefficient}."""
     out: dict = {}
-    for j, c in vec.items():
-        for i, v in op.get(j, {}).items():
-            nv = out.get(i, 0) + c * v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-    return out
-
-
-def _col_compose(a: ColOp, b: ColOp) -> ColOp:
-    """Column form of the operator 'apply b, then a'."""
-    out: ColOp = {}
-    for j in b:
-        col = _col_apply(a, b[j])
-        if col:
-            out[j] = col
-    return out
-
-
-def _col_combo(ops: list, combo: Combo) -> ColOp:
-    out: ColOp = {}
     for k, c in combo.items():
-        for j, col in ops[k].items():
-            tgt = out.setdefault(j, {})
-            for i, v in col.items():
-                nv = tgt.get(i, 0) + c * v
-                if nv:
-                    tgt[i] = nv
-                else:
-                    tgt.pop(i, None)
-            if not tgt:
-                out.pop(j, None)
-    return out
+        for mn in ops[k].items():
+            out[mn] = out.get(mn, 0) + c
+    return {mn: c for mn, c in out.items() if c}
 
 
 @dataclass(frozen=True)
 class BimoduleRep:
-    """A bimodule over a structure-constant algebra, via sparse action operators.
+    """A bimodule over a structure-constant algebra, via index-map actions.
 
-    ``left[b]`` and ``right[b]`` are the column-stored operators for the left
-    and right action of algebra basis element b on the module.
+    ``left[b][m] = n`` means b.x_m = x_n and ``right[b][m] = n`` means
+    x_m.b = x_n; absent keys mean zero.
     """
 
     algebra: StructureConstantAlgebra
@@ -207,15 +182,16 @@ class BimoduleRep:
         d = alg.dimension
         for i in range(d):
             for j in range(d):
-                prod = alg.product_basis(i, j)
-                if _col_compose(self.left[i], self.left[j]) != _col_combo(list(self.left), prod):
+                k = alg.table.get((i, j))  # b_i b_j = b_k, or zero
+                left_k, right_k = (self.left[k], self.right[k]) if k is not None else ({}, {})
+                if _then(self.left[j], self.left[i]) != left_k:
                     raise AssertionError(f"left action is not a homomorphism at ({i}, {j})")
-                if _col_compose(self.right[j], self.right[i]) != _col_combo(list(self.right), prod):
+                if _then(self.right[i], self.right[j]) != right_k:
                     raise AssertionError(f"right action fails at ({i}, {j})")
-                if _col_compose(self.left[i], self.right[j]) != _col_compose(self.right[j], self.left[i]):
+                if _then(self.right[j], self.left[i]) != _then(self.left[i], self.right[j]):
                     raise AssertionError(f"actions do not commute at ({i}, {j})")
-        ident = {j: {j: 1} for j in range(self.dim)}
-        if _col_combo(list(self.left), alg.unit) != ident or _col_combo(list(self.right), alg.unit) != ident:
+        ident = {(m, m): 1 for m in range(self.dim)}
+        if _combo(self.left, alg.unit) != ident or _combo(self.right, alg.unit) != ident:
             raise AssertionError("unit does not act as identity")
         return self
 
@@ -223,20 +199,11 @@ class BimoduleRep:
 def regular_bimodule(algebra: StructureConstantAlgebra) -> BimoduleRep:
     """The algebra as a bimodule over itself."""
     d = algebra.dimension
-    left = []
-    right = []
-    for b in range(d):
-        lb: ColOp = {}
-        rb: ColOp = {}
-        for j in range(d):
-            col = algebra.product_basis(b, j)
-            if col:
-                lb[j] = dict(col)
-            col = algebra.product_basis(j, b)
-            if col:
-                rb[j] = dict(col)
-        left.append(lb)
-        right.append(rb)
+    left: list[dict] = [{} for _ in range(d)]
+    right: list[dict] = [{} for _ in range(d)]
+    for (i, j), k in algebra.table.items():
+        left[i][j] = k
+        right[j][i] = k
     return BimoduleRep(algebra, d, tuple(left), tuple(right)).validate()
 
 
@@ -258,20 +225,20 @@ def quotient_bimodule(path_algebra: StructureConstantAlgebra,
     right = []
     for b in range(d):
         pb = path_algebra.basis_paths[b]
-        lb: ColOp = {}
-        rb: ColOp = {}
+        lb: dict = {}
+        rb: dict = {}
         for j in range(dx):
             xj = quotient.basis_paths[j]
             prod = compose(pb, xj)
             if prod is not None:
                 k = qindex.get((prod.source, prod.arrow_names()))
                 if k is not None:
-                    lb[j] = {k: 1}
+                    lb[j] = k
             prod = compose(xj, pb)
             if prod is not None:
                 k = qindex.get((prod.source, prod.arrow_names()))
                 if k is not None:
-                    rb[j] = {k: 1}
+                    rb[j] = k
         left.append(lb)
         right.append(rb)
     return BimoduleRep(path_algebra, dx, tuple(left), tuple(right)).validate()
@@ -280,23 +247,26 @@ def quotient_bimodule(path_algebra: StructureConstantAlgebra,
 # --- oracles -----------------------------------------------------------------
 
 
+def _add(by_row: dict[int, Row], m: int, u: int, c: int) -> None:
+    """Add c at column u of row m, dropping the entry when it cancels."""
+    r = by_row.setdefault(m, {})
+    nv = r.get(u, 0) + c
+    if nv:
+        r[u] = nv
+    else:
+        r.pop(u, None)
+
+
 def invariants_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """dim {v : b.v = v.b for all basis b}; this is H^0 with coefficients in x."""
     rows: list[Row] = []
     for b in range(x.algebra.dimension):
         # row group: (L(b) - R(b)) v = 0
         by_row: dict[int, Row] = {}
-        for j, col in x.left[b].items():
-            for i, v in col.items():
-                by_row.setdefault(i, {})[j] = by_row.setdefault(i, {}).get(j, 0) + v
-        for j, col in x.right[b].items():
-            for i, v in col.items():
-                r = by_row.setdefault(i, {})
-                nv = r.get(j, 0) - v
-                if nv:
-                    r[j] = nv
-                else:
-                    r.pop(j, None)
+        for j, m in x.left[b].items():
+            _add(by_row, m, j, 1)
+        for j, m in x.right[b].items():
+            _add(by_row, m, j, -1)
         rows.extend(r for r in by_row.values() if r)
     return x.dim - _rank_sparse(rows, prime=prime)
 
@@ -313,37 +283,20 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """
     alg = x.algebra
     d, dx = alg.dimension, x.dim
-
-    def unk(b: int, m: int) -> int:
-        return b * dx + m
-
     rows: list[Row] = []
     for i in range(d):
         li = x.left[i]
         for j in range(d):
             rj = x.right[j]
             by_row: dict[int, Row] = {}
-            for k, c in alg.product_basis(i, j).items():
+            k = alg.table.get((i, j))
+            if k is not None:
                 for m in range(dx):
-                    by_row.setdefault(m, {})[unk(k, m)] = c
-            for jj, col in li.items():
-                for m, v in col.items():
-                    r = by_row.setdefault(m, {})
-                    u = unk(j, jj)
-                    nv = r.get(u, 0) - v
-                    if nv:
-                        r[u] = nv
-                    else:
-                        r.pop(u, None)
-            for jj, col in rj.items():
-                for m, v in col.items():
-                    r = by_row.setdefault(m, {})
-                    u = unk(i, jj)
-                    nv = r.get(u, 0) - v
-                    if nv:
-                        r[u] = nv
-                    else:
-                        r.pop(u, None)
+                    _add(by_row, m, k * dx + m, 1)
+            for jj, m in li.items():
+                _add(by_row, m, j * dx + jj, -1)
+            for jj, m in rj.items():
+                _add(by_row, m, i * dx + jj, -1)
             rows.extend(r for r in by_row.values() if r)
     return d * dx - _rank_sparse(rows, prime=prime)
 
@@ -356,13 +309,6 @@ def inner_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
 def h1_oracle(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """Derivations modulo inner derivations."""
     return derivation_space_dim(x, prime=prime) - inner_dim(x, prime=prime)
-
-
-def derivations_with_coefficients(quiver: Quiver, x: BimoduleRep, prime: Optional[int] = None) -> int:
-    """H^1 of the path algebra with coefficients in x (oracle route)."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("path-algebra coefficients require an acyclic quiver")
-    return h1_oracle(x, prime=prime)
 
 
 # --- bar complex -------------------------------------------------------------
@@ -395,35 +341,24 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int):
     rows: list[Row] = []
     for args in tuples(n + 1):
         by_row: dict[int, Row] = {}
-
-        def add(u: int, m: int, c):
-            r = by_row.setdefault(m, {})
-            nv = r.get(u, 0) + c
-            if nv:
-                r[u] = nv
-            else:
-                r.pop(u, None)
-
         # a_1 . f(a_2, ..., a_{n+1})
         first, rest = args[0], args[1:]
-        for j, col in x.left[first].items():
-            for m, v in col.items():
-                add(unk(rest, j), m, v)
+        for j, m in x.left[first].items():
+            _add(by_row, m, unk(rest, j), 1)
         # alternating inner terms f(..., a_i a_{i+1}, ...)
         sign = -1
         for i in range(n):
-            merged = alg.product_basis(args[i], args[i + 1])
-            for k, c in merged.items():
+            k = alg.table.get((args[i], args[i + 1]))
+            if k is not None:
                 tup = args[:i] + (k,) + args[i + 2 :]
                 for m in range(dx):
-                    add(unk(tup, m), m, sign * c)
+                    _add(by_row, m, unk(tup, m), sign)
             sign = -sign
         # (-1)^{n+1} f(a_1, ..., a_n) . a_{n+1}
         last_sign = -1 if (n + 1) % 2 else 1
         head = args[:n]
-        for j, col in x.right[args[-1]].items():
-            for m, v in col.items():
-                add(unk(head, j), m, last_sign * v)
+        for j, m in x.right[args[-1]].items():
+            _add(by_row, m, unk(head, j), last_sign)
         rows.extend(r for r in by_row.values() if r)
     return rows
 

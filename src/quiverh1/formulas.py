@@ -202,8 +202,10 @@ def h1_path_algebra_acyclic(quiver: Quiver) -> H1Report:
 
 def h1_pregenerated(presentation: AlgebraPresentation,
                     algebra: Optional[StructureConstantAlgebra] = None) -> H1Report:
-    """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals);
-    the algebra is built from the presentation, when not given, once the precondition holds."""
+    """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals),
+    i.e. the tensor-coefficients formula with X = A, X^T = Z(A) and X^E the diagonal
+    slices; the algebra is built from the presentation, when not given, once the
+    precondition holds."""
     q, kind, scheme = presentation.quiver, presentation.kind, presentation.scheme
     if kind == "incidence":
         raise NotApplicable("pre-generated test is not defined for incidence presentations")
@@ -214,18 +216,12 @@ def h1_pregenerated(presentation: AlgebraPresentation,
         raise NotApplicable("not pre-generated")
     if algebra is None:
         algebra = build_algebra(presentation)
-    dim_center = center_dim(algebra)
-    diag = sum(algebra.slice_dim(x, x) for x in q.vertices)
-    weighted = 0
-    for x in q.vertices:
-        for y in q.vertices:
-            n_arrows = len(q.arrows_between(x, y))
-            if n_arrows:
-                weighted += n_arrows * algebra.slice_dim(x, y)
-    dim = dim_center - diag + weighted
+    data = slice_data_from_paths(q, algebra.basis_paths, center_dim(algebra))
+    dim = h1_tensor_coefficients(q, data)
     return H1Report(
         dim, "pregenerated", [],
-        {"dim_center": dim_center, "sum_diagonal_slices": diag, "weighted_arrow_slices": weighted},
+        {"dim_center": data.dim_X_T, "sum_diagonal_slices": data.dim_X_E,
+         "weighted_arrow_slices": dim - data.dim_X_T + data.dim_X_E},
     )
 
 

@@ -91,14 +91,14 @@ def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
     gens = list(Z)
     for z in gens:
         if z.length < 2:
-            raise InvalidIdeal(f"length < 2 generator: {z.label()}")
+            raise InvalidIdeal(f"length < 2 generator: {z.label()}", z)
     ideal = MonomialIdeal(gens)
     for z in ideal.generators:
         for w in ideal.generators:
             if w is z or w.length >= z.length:
                 continue
             if _occurrences(z, w):
-                raise InvalidIdeal(f"non-minimal: {z.label()} contains {w.label()}")
+                raise InvalidIdeal(f"non-minimal: {z.label()} contains {w.label()}", z)
     return ideal
 
 
@@ -269,15 +269,17 @@ Combo = dict[int, int]  # basis index -> integer coefficient (sparse, nonzero)
 
 @dataclass(frozen=True)
 class StructureConstantAlgebra:
-    """A finite-dimensional algebra given by an exact multiplication table.
+    """A finite-dimensional algebra on a multiplicative basis.
 
-    ``table[(i, j)]`` holds the nonzero product of basis elements i and j as a
-    sparse linear combination; absent keys mean zero.  ``basis_paths`` is kept
-    when the basis consists of paths, so vertex-pair slices can be read off.
+    ``table[(i, j)] = k`` means b_i b_j = b_k; absent keys mean zero.  Every
+    algebra the program builds (paths modulo a monomial ideal, matrix units of
+    an incidence algebra) multiplies basis elements this way.  ``basis_paths``
+    is kept when the basis consists of paths, so vertex-pair slices can be
+    read off.
     """
 
     basis: tuple[str, ...]
-    table: dict[tuple[int, int], Combo]
+    table: dict[tuple[int, int], int]
     unit: Combo
     vertex_idempotents: dict[VertexId, int]
     basis_paths: Optional[tuple[Path, ...]] = None
@@ -290,8 +292,9 @@ class StructureConstantAlgebra:
         out: Combo = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                for k, ck in self.table.get((i, j), {}).items():
-                    c = out.get(k, 0) + ci * cj * ck
+                k = self.table.get((i, j))
+                if k is not None:
+                    c = out.get(k, 0) + ci * cj
                     if c:
                         out[k] = c
                     else:
@@ -299,42 +302,37 @@ class StructureConstantAlgebra:
         return out
 
     def product_basis(self, i: int, j: int) -> Combo:
-        return self.table.get((i, j), {})
+        k = self.table.get((i, j))
+        return {} if k is None else {k: 1}
 
     def opposite(self) -> "StructureConstantAlgebra":
-        op_table = {(j, i): combo for (i, j), combo in self.table.items()}
+        op_table = {(j, i): k for (i, j), k in self.table.items()}
         return StructureConstantAlgebra(
             self.basis, op_table, dict(self.unit), dict(self.vertex_idempotents), self.basis_paths
         )
-
-    def slice_dim(self, x: VertexId, y: VertexId) -> int:
-        """Number of basis paths from x to y (requires a path basis)."""
-        if self.basis_paths is None:
-            raise NotApplicable("slice dimensions need a path basis")
-        return sum(1 for p in self.basis_paths if p.source == x and p.target == y)
 
     def check(self) -> "StructureConstantAlgebra":
         """Assert associativity on all basis triples and the unit/idempotent axioms.
 
         Only triples where a product can be nonzero are visited.  With the
-        table grouped into rows (rows[i][j] = b_i b_j), (b_i b_j) b_k is a
-        combination of the b_l b_k for l in b_i b_j, so it is zero unless k is
-        in rows[l] for such an l; b_i (b_j b_k) is zero unless k is in rows[j].
-        On every other triple both sides are zero and associativity holds, so
-        this tests the same property as the loop over all d^3 triples, and
-        visiting in lexicographic order reports the same first failure.
+        table grouped into rows (rows[i][j] = k for b_i b_j = b_k),
+        (b_i b_j) b_k is zero unless k is in rows[l] for l = rows[i][j], and
+        b_i (b_j b_k) is zero unless k is in rows[j].  On every other triple
+        both sides are zero and associativity holds, so this tests the same
+        property as the loop over all d^3 triples, and visiting in
+        lexicographic order reports the same first failure.
         """
         d = self.dimension
-        rows: dict[int, dict[int, Combo]] = {}
-        for (i, j), combo in self.table.items():
-            rows.setdefault(i, {})[j] = combo
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), k in self.table.items():
+            rows.setdefault(i, {})[j] = k
         for i in sorted(rows):
+            row_i = rows[i]
             for j in range(d):
-                pij = rows[i].get(j, {})
+                row_l = rows.get(row_i.get(j), {})  # b_i b_j = b_l, or zero
                 row_j = rows.get(j, {})
-                ks = set(row_j).union(*(rows.get(l, ()) for l in pij))
-                for k in sorted(ks):
-                    if self.multiply(pij, {k: 1}) != self.multiply({i: 1}, row_j.get(k, {})):
+                for k in sorted(row_l.keys() | row_j.keys()):
+                    if row_l.get(k) != row_i.get(row_j.get(k)):
                         raise AssertionError(
                             f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
                         )
@@ -344,12 +342,12 @@ class StructureConstantAlgebra:
         idems = list(self.vertex_idempotents.items())
         total: Combo = {}
         for v, i in idems:
-            if self.product_basis(i, i) != {i: 1}:
+            if self.table.get((i, i)) != i:
                 raise AssertionError(f"vertex element {v} is not idempotent")
             total[i] = total.get(i, 0) + 1
         for (v, i) in idems:
             for (w, j) in idems:
-                if v != w and self.product_basis(i, j):
+                if v != w and (i, j) in self.table:
                     raise AssertionError(f"idempotents {v}, {w} are not orthogonal")
         if total != self.unit:
             raise AssertionError("vertex idempotents do not sum to the unit")
@@ -359,13 +357,13 @@ class StructureConstantAlgebra:
 def _path_basis_algebra(quiver: Quiver, paths: list[Path]) -> StructureConstantAlgebra:
     names = [p.arrow_names() for p in paths]
     index = {(p.source, names[i]): i for i, p in enumerate(paths)}
-    table: dict[tuple[int, int], Combo] = {}
+    table: dict[tuple[int, int], int] = {}
     for i, p in enumerate(paths):
         for j, q in enumerate(paths):
             if p.target == q.source:
                 k = index.get((p.source, names[i] + names[j]))
                 if k is not None:
-                    table[(i, j)] = {k: 1}
+                    table[(i, j)] = k
     idem = {p.source: i for i, p in enumerate(paths) if p.is_trivial}
     unit = {i: 1 for i in idem.values()}
     return StructureConstantAlgebra(

@@ -98,7 +98,7 @@ def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c:
-                table[(i, j)] = {index[(a, d)]: 1}
+                table[(i, j)] = index[(a, d)]
     idem = {e: index[(e, e)] for e in p.elements}
     unit = {i: 1 for i in idem.values()}
     labels = tuple(f"e[{y},{x}]" for (y, x) in pairs)

@@ -199,3 +199,12 @@ def test_main_cyclic_formula_statuses(tmp_path, capsys):
     assert status == {"nonadmissible": EXIT_UNSUPPORTED, "norelations": EXIT_UNSUPPORTED,
                       "pregenerated": EXIT_OK}
     capsys.readouterr()
+
+
+def test_parse_reports_a_non_minimal_relation_at_its_own_line():
+    head = "quiver q\nvertex w\nvertex x\nvertex y\nvertex z\narrow a w x\narrow b x y\narrow c y z\n"
+    for relations, line in (("relation monomial a b\nrelation monomial a b c\n", 10),
+                            ("relation monomial a b c\nrelation monomial a b\n", 9)):
+        with pytest.raises(ParseError, match="non-minimal: a\\*b\\*c contains a\\*b") as exc:
+            parse(head + relations + "end\n")
+        assert exc.value.line == line

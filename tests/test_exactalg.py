@@ -13,7 +13,6 @@ from quiverh1.exactalg import (
     bar_cohomology_dims,
     center_dim,
     derivation_space_dim,
-    derivations_with_coefficients,
     h1_oracle,
     inner_dim,
     invariants_dim,
@@ -29,9 +28,11 @@ from quiverh1.presentations import (
     TruncationIdeal,
     build_algebra,
 )
-from quiverh1.quiver import Arrow, Quiver
+from quiverh1.quiver import Arrow, Quiver, compose
+from quiverh1.simplicial import Poset, hasse_quiver, incidence_algebra
 
 from conftest import a2, a3, branch, cycle, kronecker, path_of, random_connected_dag, random_minimal_ideal
+from test_presentations import _outcome, _seeded_algebra
 
 
 def semisimple(n: int):
@@ -264,18 +265,18 @@ def test_disjoint_union_additivity():
 def test_derivations_with_coefficients():
     q2 = kronecker(2)
     kq = build_algebra(AlgebraPresentation(q2))
-    assert derivations_with_coefficients(q2, quotient_bimodule(kq, kq)) == 3
+    assert h1_oracle(quotient_bimodule(kq, kq)) == 3
 
     qb = branch()
     kq = build_algebra(AlgebraPresentation(qb))
     quot = build_algebra(AlgebraPresentation(qb, MonomialIdeal([path_of(qb, "a", "b")])))
-    assert derivations_with_coefficients(qb, quotient_bimodule(kq, quot)) == 3
+    assert h1_oracle(quotient_bimodule(kq, quot)) == 3
 
     q3 = a3()
     kq = build_algebra(AlgebraPresentation(q3))
-    assert derivations_with_coefficients(q3, quotient_bimodule(kq, kq)) == 0
+    assert h1_oracle(quotient_bimodule(kq, kq)) == 0
     quot = build_algebra(AlgebraPresentation(q3, MonomialIdeal([path_of(q3, "a", "b")])))
-    assert derivations_with_coefficients(q3, quotient_bimodule(kq, quot)) == 0
+    assert h1_oracle(quotient_bimodule(kq, quot)) == 0
 
 
 def test_bimodule_validation_rejects_garbage():
@@ -309,3 +310,122 @@ def test_bar_dims_rank_each_coboundary_once(monkeypatch):
         assert bar_cohomology_dims(rep, (2,)) == {2: expected[2]}
     with pytest.raises(ValueError):
         bar_cohomology_dims(rep, (1, 3))
+
+
+# --- index-map actions against the column operators they replaced -------------
+
+
+def _col_apply(op, vec):
+    out = {}
+    for j, c in vec.items():
+        for i, v in op.get(j, {}).items():
+            nv = out.get(i, 0) + c * v
+            if nv:
+                out[i] = nv
+            else:
+                out.pop(i, None)
+    return out
+
+
+def _col_compose(a, b):
+    """Column form of the operator 'apply b, then a'."""
+    out = {}
+    for j in b:
+        col = _col_apply(a, b[j])
+        if col:
+            out[j] = col
+    return out
+
+
+def _col_combo(ops, combo):
+    out = {}
+    for k, c in combo.items():
+        for j, col in ops[k].items():
+            tgt = out.setdefault(j, {})
+            for i, v in col.items():
+                nv = tgt.get(i, 0) + c * v
+                if nv:
+                    tgt[i] = nv
+                else:
+                    tgt.pop(i, None)
+            if not tgt:
+                out.pop(j, None)
+    return out
+
+
+def reference_validate(rep):
+    """The column-operator validate() that the index-map one replaced, kept as the
+    reference; each index map m -> n is read as the column operator {m: {n: 1}}."""
+    left = [{m: {n: 1} for m, n in op.items()} for op in rep.left]
+    right = [{m: {n: 1} for m, n in op.items()} for op in rep.right]
+    alg = rep.algebra
+    d = alg.dimension
+    for i in range(d):
+        for j in range(d):
+            prod = alg.product_basis(i, j)
+            if _col_compose(left[i], left[j]) != _col_combo(left, prod):
+                raise AssertionError(f"left action is not a homomorphism at ({i}, {j})")
+            if _col_compose(right[j], right[i]) != _col_combo(right, prod):
+                raise AssertionError(f"right action fails at ({i}, {j})")
+            if _col_compose(left[i], right[j]) != _col_compose(right[j], left[i]):
+                raise AssertionError(f"actions do not commute at ({i}, {j})")
+    ident = {j: {j: 1} for j in range(rep.dim)}
+    if _col_combo(left, alg.unit) != ident or _col_combo(right, alg.unit) != ident:
+        raise AssertionError("unit does not act as identity")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence"]),
+    seed=st.integers(0, 2**32 - 1),
+    side=st.sampled_from(["left", "right"]),
+    mutation=st.sampled_from(["redirect", "drop", "add"]),
+    pick=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 2**32 - 1),
+)
+def test_validate_rejects_exactly_what_the_column_operators_reject(family, seed, side, mutation, pick, target):
+    alg = _seeded_algebra(family, seed)
+    rep = regular_bimodule(alg)
+    d = rep.dim
+    ops = [dict(op) for op in getattr(rep, side)]
+    present = [(b, m) for b in range(d) for m in sorted(ops[b])]
+    absent = [(b, m) for b in range(d) for m in range(d) if m not in ops[b]]
+    if mutation == "redirect":
+        b, m = present[pick % len(present)]
+        ops[b][m] = target % d
+    elif mutation == "drop":
+        b, m = present[pick % len(present)]
+        del ops[b][m]
+    elif absent:
+        b, m = absent[pick % len(absent)]
+        ops[b][m] = target % d
+    left, right = (tuple(ops), rep.right) if side == "left" else (rep.left, tuple(ops))
+    bad = BimoduleRep(alg, d, left, right)
+    assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)
+
+
+def test_builders_store_product_indices():
+    q = branch()
+    poset = Poset.from_pairs(["a", "b", "c", "d"], [("c", "a"), ("d", "a"), ("c", "b"), ("d", "b")])
+    kq = build_algebra(AlgebraPresentation(q))
+    quot = build_algebra(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")])))
+    algebras = [
+        kq,
+        quot,
+        build_algebra(AlgebraPresentation(cycle(3), TruncationIdeal(2))),
+        build_algebra(AlgebraPresentation(a3(), TruncationIdeal(2))),
+        build_algebra(AlgebraPresentation(hasse_quiver(poset), poset)),
+        incidence_algebra(poset),
+    ]
+    algebras += [alg.opposite() for alg in algebras]
+    for alg in algebras:
+        assert alg.table and all(type(k) is int for k in alg.table.values())
+        rep = regular_bimodule(alg)
+        assert all(type(n) is int for op in rep.left + rep.right for n in op.values())
+    for alg in algebras[:4]:  # path bases: the index is the concatenation
+        paths = alg.basis_paths
+        for (i, j), k in alg.table.items():
+            assert compose(paths[i], paths[j]) == paths[k]
+    rep = quotient_bimodule(kq, quot)
+    assert any(rep.left) and any(rep.right)
+    assert all(type(n) is int for op in rep.left + rep.right for n in op.values())

@@ -263,7 +263,7 @@ def test_algebra_check_catches_bad_table():
     from quiverh1.presentations import StructureConstantAlgebra
 
     bad = StructureConstantAlgebra(
-        alg.basis, {**alg.table, (2, 2): {2: 1}}, alg.unit, alg.vertex_idempotents, alg.basis_paths
+        alg.basis, {**alg.table, (2, 2): 2}, alg.unit, alg.vertex_idempotents, alg.basis_paths
     )
     with pytest.raises(AssertionError):
         bad.check()
@@ -341,11 +341,11 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, m
     absent = [(i, j) for i in range(d) for j in range(d) if (i, j) not in table]
     if mutation == "redirect":
         key = present[pick % len(present)]
-        table[key] = {target % d: 1}
+        table[key] = target % d
     elif mutation == "drop":
         del table[present[pick % len(present)]]
     elif absent:
-        table[absent[pick % len(absent)]] = {target % d: 1}
+        table[absent[pick % len(absent)]] = target % d
     bad = StructureConstantAlgebra(alg.basis, table, alg.unit, alg.vertex_idempotents, alg.basis_paths)
     assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
 
