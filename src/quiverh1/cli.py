@@ -17,6 +17,8 @@ File grammar (line-oriented, '#' starts a comment):
     end
 
 Exit statuses: 0 success/agreement, 1 mismatch, 2 input error, 3 unsupported.
+Every file is run and reported; with several files the exit status is the
+worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+_SEVERITY = (EXIT_OK, EXIT_UNSUPPORTED, EXIT_INPUT, EXIT_MISMATCH)  # least to most severe
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ def parse(text: str) -> InputDocument:
     truncate: Optional[int] = None
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
+    pair_lines: list[int] = []
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,11 +165,13 @@ def parse(text: str) -> InputDocument:
                     if e not in elements:
                         raise ParseError(lineno, f"unresolved name: element {e!r}")
                 pairs.append((lower, upper))  # covers upper lower means lower <= upper
+                pair_lines.append(lineno)
             elif head == "relation" and len(tokens) == 4 and tokens[2] == "<=":
                 for e in (tokens[1], tokens[3]):
                     if e not in elements:
                         raise ParseError(lineno, f"unresolved name: element {e!r}")
                 pairs.append((tokens[1], tokens[3]))
+                pair_lines.append(lineno)
             else:
                 raise ParseError(lineno, f"unknown directive {line!r}")
 
@@ -178,7 +184,7 @@ def parse(text: str) -> InputDocument:
         try:
             poset = Poset.from_pairs(elements, pairs)
         except QuiverH1Error as exc:
-            raise ParseError(1, str(exc))
+            raise ParseError(_first_bad_pair_line(elements, pairs, pair_lines), str(exc))
         return InputDocument(kind, name, poset)
 
     quiver = Quiver(vertices, arrows)
@@ -207,6 +213,16 @@ def parse(text: str) -> InputDocument:
     except QuiverH1Error as exc:
         raise ParseError(1, str(exc))
     return InputDocument(kind, name, AlgebraPresentation(quiver, scheme))
+
+
+def _first_bad_pair_line(elements: list[str], pairs: list[tuple[str, str]], lines: list[int]) -> int:
+    """The line of the first pair after which the pairs read so far are no longer a partial order."""
+    for k, line in enumerate(lines, start=1):
+        try:
+            Poset.from_pairs(elements, pairs[:k])
+        except QuiverH1Error:
+            return line
+    return 1
 
 
 def serialize(doc: InputDocument) -> str:
@@ -354,33 +370,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    status = EXIT_OK
-    for path in args.files:
-        try:
-            with open(path) as fh:
-                doc = parse(fh.read())
-        except (OSError, ParseError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            if args.command == "formula":
-                report = run_formula(doc)
-            elif args.command == "oracle":
-                report = run_oracle(doc, prime=prime, max_dim=args.max_dim)
-            elif args.command == "check":
-                report = run_check(doc, prime=prime, max_dim=args.max_dim)
-            else:
-                report = run_poset(doc, prime=prime)
-        except (FormulaUnavailable, GuardExceeded) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        except QuiverH1Error as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        _print_report(report, args.json, args.per_component)
-        if not report.agree:
-            status = EXIT_MISMATCH
-    return status
+    return max((_run_file(path, args, prime) for path in args.files), key=_SEVERITY.index)
+
+
+def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
+    """Run the command on one file, print its report or error, and return its status."""
+    try:
+        with open(path) as fh:
+            doc = parse(fh.read())
+    except (OSError, ParseError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        if args.command == "formula":
+            report = run_formula(doc)
+        elif args.command == "oracle":
+            report = run_oracle(doc, prime=prime, max_dim=args.max_dim)
+        elif args.command == "check":
+            report = run_check(doc, prime=prime, max_dim=args.max_dim)
+        else:
+            report = run_poset(doc, prime=prime)
+    except (FormulaUnavailable, GuardExceeded) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except QuiverH1Error as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    _print_report(report, args.json, args.per_component)
+    return EXIT_OK if report.agree else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

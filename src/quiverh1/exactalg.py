@@ -178,18 +178,36 @@ class BimoduleRep:
     right: tuple
 
     def validate(self) -> "BimoduleRep":
+        """Assert both actions are homomorphisms that commute and the unit acts as 1.
+
+        A test at (i, j) compares left/right[k] (b_i b_j = b_k, else {}) or composites
+        of two index maps, nonempty only where an image of the first meets the domain
+        of the second.  So a test can fail only on a pair in the table, or on (i, b) or
+        (b, j) where an image of left[b] or right[b] lies in the domain of left[i] or
+        right[j]; elsewhere every side is {}.  Visiting those pairs in lexicographic
+        order reports the first failure of the loop over all d^2 pairs."""
         alg = self.algebra
         d = alg.dimension
-        for i in range(d):
-            for j in range(d):
-                k = alg.table.get((i, j))  # b_i b_j = b_k, or zero
-                left_k, right_k = (self.left[k], self.right[k]) if k is not None else ({}, {})
-                if _then(self.left[j], self.left[i]) != left_k:
-                    raise AssertionError(f"left action is not a homomorphism at ({i}, {j})")
-                if _then(self.right[i], self.right[j]) != right_k:
-                    raise AssertionError(f"right action fails at ({i}, {j})")
-                if _then(self.right[j], self.left[i]) != _then(self.left[i], self.right[j]):
-                    raise AssertionError(f"actions do not commute at ({i}, {j})")
+        left_at: dict[int, list[int]] = {}  # n -> every b with n in the domain of left[b]
+        right_at: dict[int, list[int]] = {}  # likewise for right[b]
+        for at, ops in ((left_at, self.left), (right_at, self.right)):
+            for b, op in enumerate(ops):
+                for n in op:
+                    at.setdefault(n, []).append(b)
+        pairs = set(alg.table)
+        for b in range(d):
+            for n in set(self.left[b].values()) | set(self.right[b].values()):
+                pairs.update((i, b) for i in left_at.get(n, ()))
+                pairs.update((b, j) for j in right_at.get(n, ()))
+        for i, j in sorted(pairs):
+            k = alg.table.get((i, j))  # b_i b_j = b_k, or zero
+            left_k, right_k = (self.left[k], self.right[k]) if k is not None else ({}, {})
+            if _then(self.left[j], self.left[i]) != left_k:
+                raise AssertionError(f"left action is not a homomorphism at ({i}, {j})")
+            if _then(self.right[i], self.right[j]) != right_k:
+                raise AssertionError(f"right action fails at ({i}, {j})")
+            if _then(self.right[j], self.left[i]) != _then(self.left[i], self.right[j]):
+                raise AssertionError(f"actions do not commute at ({i}, {j})")
         ident = {(m, m): 1 for m in range(self.dim)}
         if _combo(self.left, alg.unit) != ident or _combo(self.right, alg.unit) != ident:
             raise AssertionError("unit does not act as identity")

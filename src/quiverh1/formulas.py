@@ -13,6 +13,7 @@ Kronecker quiver, with n^2 - 1 > n - 1, rules out the opposite direction).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,10 +37,10 @@ from .quiver import (
     VertexId,
     arrow_path,
     connected_components,
-    enumerate_paths,
     is_acyclic,
     is_narrow,
     parallel_pairs,
+    path_counts,
 )
 
 
@@ -59,10 +60,6 @@ class H1Report:
     method: str
     per_component: list[tuple[str, int]] = field(default_factory=list)
     intermediates: dict = field(default_factory=dict)
-
-
-def _component_label(q: Quiver) -> str:
-    return q.vertices[0]
 
 
 def glued_pairs(quiver: Quiver, B: list[Path]) -> list[ParallelPair]:
@@ -136,7 +133,7 @@ def h1_monomial_acyclic(quiver: Quiver, Z: MonomialIdeal) -> H1Report:
         Zc = _restrict_ideal(comp, Z)
         cls = effective_pairs(comp, Zc, basis_B(comp, Zc))
         dim = 1 - len(comp.vertices) + len(cls.non_effective)
-        per.append((_component_label(comp), dim))
+        per.append((comp.vertices[0], dim))
         intermediates["n_effective"] += len(cls.effective)
         intermediates["n_couples"] += len(cls.all)
     total = sum(d for _, d in per)
@@ -145,22 +142,27 @@ def h1_monomial_acyclic(quiver: Quiver, Z: MonomialIdeal) -> H1Report:
     return H1Report(total, "monomial_acyclic", per, intermediates)
 
 
+def _couple_rows(quiver: Quiver, max_length: Optional[int] = None) -> tuple[list[tuple[str, int]], int]:
+    """Per component 1 - |Q0| + |(arrow, parallel path of length <= max_length) couples|,
+    and the total couple count, read off the path counts; no path is listed."""
+    per = []
+    n_couples = 0
+    for comp in connected_components(quiver):
+        n = sum(layer.get((a.source, a.target), 0) for layer in path_counts(comp, max_length) for a in comp.arrows)
+        per.append((comp.vertices[0], 1 - len(comp.vertices) + n))
+        n_couples += n
+    return per, n_couples
+
+
 def h1_truncated_acyclic(quiver: Quiver, m: int) -> H1Report:
     """1 - |Q0| + |arrow/basis couples| with basis = paths of length < m."""
     if not is_acyclic(quiver):
         raise NotApplicable("truncated formula requires an acyclic quiver")
     if m < 2:
         raise NotApplicable("truncation level must be >= 2")
-    per = []
-    n_couples = 0
-    for comp in connected_components(quiver):
-        B = enumerate_paths(comp, max_length=m - 1)
-        pairs = parallel_pairs([arrow_path(a) for a in comp.arrows], B)
-        per.append((_component_label(comp), 1 - len(comp.vertices) + len(pairs)))
-        n_couples += len(pairs)
-    total = sum(d for _, d in per)
+    per, n_couples = _couple_rows(quiver, max_length=m - 1)
     return H1Report(
-        total, "truncated_acyclic", per,
+        sum(d for _, d in per), "truncated_acyclic", per,
         {"n_vertices": len(quiver.vertices), "n_couples": n_couples},
     )
 
@@ -171,7 +173,7 @@ def h1_narrow(quiver: Quiver) -> H1Report:
         raise NotApplicable("not narrow")
     per = []
     for comp in connected_components(quiver):
-        per.append((_component_label(comp), 1 - len(comp.vertices) + len(comp.arrows)))
+        per.append((comp.vertices[0], 1 - len(comp.vertices) + len(comp.arrows)))
     return H1Report(
         sum(d for _, d in per), "narrow", per,
         {"n_vertices": len(quiver.vertices), "n_arrows": len(quiver.arrows)},
@@ -182,13 +184,7 @@ def h1_path_algebra_acyclic(quiver: Quiver) -> H1Report:
     """1 - |Q0| + |path/arrow parallel couples| per component."""
     if not is_acyclic(quiver):
         raise NotApplicable("the path algebra of a cyclic quiver is infinite dimensional")
-    per = []
-    n_pairs = 0
-    for comp in connected_components(quiver):
-        paths = enumerate_paths(comp)
-        pairs = parallel_pairs(paths, [arrow_path(a) for a in comp.arrows])
-        per.append((_component_label(comp), 1 - len(comp.vertices) + len(pairs)))
-        n_pairs += len(pairs)
+    per, n_pairs = _couple_rows(quiver)
     return H1Report(
         sum(d for _, d in per), "path_algebra_acyclic", per,
         {
@@ -248,12 +244,8 @@ def slice_data_from_paths(quiver: Quiver, module_paths: list[Path], dim_X_T: int
 
 def h1_tensor_coefficients(quiver: Quiver, X: BimoduleSliceData) -> int:
     """dim X^T - dim X^E + sum over vertex pairs of |arrows| * slice dim."""
-    weighted = 0
-    for x in quiver.vertices:
-        for y in quiver.vertices:
-            n_arrows = len(quiver.arrows_between(x, y))
-            if n_arrows:
-                weighted += n_arrows * X.slice_dims.get((x, y), 0)
+    n_arrows = Counter((a.source, a.target) for a in quiver.arrows)
+    weighted = sum(n * X.slice_dims.get(pair, 0) for pair, n in n_arrows.items())
     return X.dim_X_T - X.dim_X_E + weighted
 
 

@@ -22,6 +22,7 @@ from .quiver import (
     VertexId,
     enumerate_paths,
     is_acyclic,
+    path_counts,
     validate,
 )
 
@@ -78,27 +79,20 @@ class AlgebraPresentation:
         return "incidence"
 
 
-def _occurrences(p: Path, z: Path) -> list[int]:
-    """Start indices of z's arrow sequence inside p's."""
-    hay, needle = p.arrow_names(), z.arrow_names()
-    if not needle or len(needle) > len(hay):
-        return []
-    return [i for i in range(len(hay) - len(needle) + 1) if hay[i : i + len(needle)] == needle]
-
-
 def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
-    """Validate generator lengths and minimality; returns the ideal on success."""
+    """Validate generator lengths and minimality; returns the ideal on success.  Reports
+    each z's smallest generator sub-sequence by (length, names), as a pairwise test would."""
     gens = list(Z)
     for z in gens:
         if z.length < 2:
             raise InvalidIdeal(f"length < 2 generator: {z.label()}", z)
     ideal = MonomialIdeal(gens)
     for z in ideal.generators:
-        for w in ideal.generators:
-            if w is z or w.length >= z.length:
-                continue
-            if _occurrences(z, w):
-                raise InvalidIdeal(f"non-minimal: {z.label()} contains {w.label()}", z)
+        names = z.arrow_names()
+        inside = [(j - i, names[i:j]) for i, j in _generator_spans(names, ideal) if j - i < len(names)]
+        if inside:
+            w = min(inside)[1]
+            raise InvalidIdeal(f"non-minimal: {z.label()} contains {'*'.join(w)}", z)
     return ideal
 
 
@@ -248,13 +242,9 @@ def truncated_is_pregenerated(quiver: Quiver, m: int) -> bool:
     """True iff every path parallel to a length-m path has length >= m."""
     if m < 2:
         raise InvalidIdeal(f"truncation level must be >= 2, got {m}")
-    short: set[tuple[str, str]] = set()
-    for p in enumerate_paths(quiver, max_length=m - 1):
-        short.add((p.source, p.target))
-    for p in enumerate_paths(quiver, max_length=m):
-        if p.length == m and (p.source, p.target) in short:
-            return False
-    return True
+    counts = path_counts(quiver, max_length=m)
+    short = {pair for layer in counts[:m] for pair in layer}
+    return len(counts) <= m or short.isdisjoint(counts[m])
 
 
 def truncation_generators(quiver: Quiver, m: int) -> MonomialIdeal:

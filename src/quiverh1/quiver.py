@@ -8,6 +8,7 @@ under the opposite convention.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -40,10 +41,6 @@ class Quiver:
 
     def arrows_from(self, v: VertexId) -> list[Arrow]:
         return [a for a in self.arrows if a.source == v]
-
-    def arrows_between(self, x: VertexId, y: VertexId) -> list[Arrow]:
-        """Arrows from x to y."""
-        return [a for a in self.arrows if a.source == x and a.target == y]
 
 
 @dataclass(frozen=True)
@@ -237,14 +234,30 @@ def parallel_pairs(lefts: Iterable[Path], rights: Iterable[Path]) -> list[Parall
     return pairs
 
 
+def path_counts(quiver: Quiver, max_length: Optional[int] = None) -> list[dict[tuple[VertexId, VertexId], int]]:
+    """counts[l][(x, y)] = the number of paths of length l from x to y (absent: none), for l
+    up to max_length or the longest path.  Built layer by layer without listing a path, in
+    O(L |Q0| |Q1|) for L layers; raises InfinitePathSet where ``enumerate_paths`` does."""
+    if max_length is None and not is_acyclic(quiver):
+        raise InfinitePathSet("infinite path set: unbounded enumeration on a cyclic quiver")
+    out = {v: [a.target for a in quiver.arrows_from(v)] for v in quiver.vertices}
+    counts = [{(v, v): 1 for v in quiver.vertices}]
+    while max_length is None or len(counts) <= max_length:
+        nxt: dict[tuple[VertexId, VertexId], int] = {}
+        for (x, y), n in counts[-1].items():
+            for t in out[y]:
+                nxt[(x, t)] = nxt.get((x, t), 0) + n
+        if not nxt:
+            break
+        counts.append(nxt)
+    return counts
+
+
 def is_narrow(quiver: Quiver) -> bool:
     """True iff every ordered vertex pair has at most one path (requires acyclicity)."""
     if not is_acyclic(quiver):
         raise NotApplicable("narrowness requires acyclicity")
-    counts: dict[tuple[str, str], int] = {}
-    for p in enumerate_paths(quiver):
-        key = (p.source, p.target)
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > 1:
-            return False
-    return True
+    totals: Counter = Counter()
+    for layer in path_counts(quiver):
+        totals.update(layer)
+    return all(n <= 1 for n in totals.values())

@@ -52,10 +52,26 @@ def branch() -> Quiver:
     )
 
 
+def fib_dag(n: int) -> Quiver:
+    """Vertices 0..n-1 with arrows i -> i+1 and i -> i+2: Fibonacci-many paths."""
+    verts = [f"v{i}" for i in range(n)]
+    arrows = [Arrow(f"s{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    arrows += [Arrow(f"l{i}", verts[i], verts[i + 2]) for i in range(n - 2)]
+    return Quiver(verts, arrows)
+
+
 def path_of(quiver: Quiver, *names: str) -> Path:
     by_name = {a.name: a for a in quiver.arrows}
     arrows = [by_name[n] for n in names]
     return Path(arrows[0].source, arrows)
+
+
+def occurrences(p: Path, z: Path) -> list[int]:
+    """Start indices of z's arrow sequence inside p's."""
+    hay, needle = p.arrow_names(), z.arrow_names()
+    if not needle or len(needle) > len(hay):
+        return []
+    return [i for i in range(len(hay) - len(needle) + 1) if hay[i : i + len(needle)] == needle]
 
 
 def dp_path_count(quiver: Quiver) -> int:
@@ -106,9 +122,7 @@ def random_minimal_ideal(rng: random.Random, quiver: Quiver) -> MonomialIdeal:
     chosen: list[Path] = []
     for p in candidates:
         if rng.random() < 0.6:
-            from quiverh1.presentations import _occurrences
-
-            if any(_occurrences(p, z) or _occurrences(z, p) for z in chosen):
+            if any(occurrences(p, z) or occurrences(z, p) for z in chosen):
                 continue
             chosen.append(p)
     return check_minimal(quiver, chosen)

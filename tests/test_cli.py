@@ -208,3 +208,57 @@ def test_parse_reports_a_non_minimal_relation_at_its_own_line():
         with pytest.raises(ParseError, match="non-minimal: a\\*b\\*c contains a\\*b") as exc:
             parse(head + relations + "end\n")
         assert exc.value.line == line
+
+
+def test_main_runs_every_file_and_exits_with_the_worst_status(tmp_path, capsys):
+    fx = str(FIXTURE_DIR)
+    bad = tmp_path / "garbage.quiver"
+    bad.write_text("garbage\n")
+    cyclic = tmp_path / "cyclic.quiver"
+    cyclic.write_text("quiver c\nvertex x\nvertex y\narrow a x y\narrow b y x\nend\n")
+    good = f"{fx}/kronecker2.quiver"
+
+    assert main(["check", "--json", good, str(bad), f"{fx}/cycle3-trunc2.quiver"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    decoder = json.JSONDecoder()
+    first, end = decoder.raw_decode(captured.out)
+    second, _ = decoder.raw_decode(captured.out[end:].lstrip())
+    assert (first["name"], second["name"]) == ("kronecker2", "cycle3-trunc2")
+    assert captured.err == f"error: {bad}: line 1: expected 'quiver <name>' or 'poset <name>'\n"
+
+    # input error 2 outranks unsupported 3, in either order
+    assert main(["formula", str(cyclic), str(bad)]) == EXIT_INPUT
+    assert main(["formula", str(bad), str(cyclic)]) == EXIT_INPUT
+    assert main(["formula", good, str(cyclic)]) == EXIT_UNSUPPORTED
+    assert capsys.readouterr().err.count("error: ") == 5
+
+
+def test_main_mismatch_outranks_every_other_status(tmp_path, capsys, monkeypatch):
+    from quiverh1 import formulas
+
+    fx = str(FIXTURE_DIR)
+    bad = tmp_path / "garbage.quiver"
+    bad.write_text("garbage\n")
+    cyclic = tmp_path / "cyclic.quiver"
+    cyclic.write_text("quiver c\nvertex x\nvertex y\narrow a x y\narrow b y x\nend\n")
+    real = formulas.classify_and_compute
+
+    def off_by_one(presentation):
+        report = real(presentation)
+        report.dim_h1 += 1
+        return report
+
+    monkeypatch.setattr(formulas, "classify_and_compute", off_by_one)
+    assert main(["check", f"{fx}/kronecker2.quiver", str(bad), str(cyclic)]) == EXIT_MISMATCH
+    assert main(["check", str(cyclic), str(bad), f"{fx}/kronecker2.quiver"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.count("agreement: MISMATCH") == 2
+
+
+def test_parse_reports_an_antisymmetry_violation_at_its_own_line():
+    head = "poset p\nelement a\nelement b\nelement c\n"
+    for relations, line in (("relation a <= b\nrelation b <= a\n", 6),
+                            ("covers b a\n# a comment\nrelation b <= c\nrelation c <= a\n", 8),
+                            ("relation a <= b\nrelation b <= c\nrelation a <= c\ncovers a c\n", 8)):
+        with pytest.raises(ParseError, match="antisymmetry violation") as exc:
+            parse(head + relations + "end\n")
+        assert exc.value.line == line

@@ -429,3 +429,23 @@ def test_builders_store_product_indices():
     rep = quotient_bimodule(kq, quot)
     assert any(rep.left) and any(rep.right)
     assert all(type(n) is int for op in rep.left + rep.right for n in op.values())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence"]),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.sampled_from([0.0, 0.3, 0.7, 0.9]),
+    thin=st.integers(0, 2**32 - 1),
+)
+def test_validate_matches_the_pairwise_loop_on_thinned_actions(family, seed, keep, thin):
+    """Actions that keep a random share of the regular bimodule's entries on both
+    sides: pairs in the table where every composite is empty must still be
+    visited, in order, to fail where the loop over all pairs fails."""
+    alg = _seeded_algebra(family, seed)
+    rep = regular_bimodule(alg)
+    rng = random.Random(thin)
+    left, right = ([{m: n for m, n in op.items() if rng.random() < keep} for op in ops]
+                   for ops in (rep.left, rep.right))
+    bad = BimoduleRep(alg, rep.dim, tuple(left), tuple(right))
+    assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)

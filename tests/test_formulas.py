@@ -5,6 +5,7 @@ import pytest
 from quiverh1.errors import FormulaUnavailable, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, quotient_bimodule, regular_bimodule
 from quiverh1.formulas import (
+    H1Report,
     classify_and_compute,
     effective_pairs,
     glued_pairs,
@@ -25,7 +26,9 @@ from quiverh1.presentations import (
     build_algebra,
     truncation_generators,
 )
-from quiverh1.quiver import Arrow, Quiver, is_narrow
+from quiverh1.quiver import (
+    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_narrow, parallel_pairs,
+)
 
 from conftest import (
     a2,
@@ -33,6 +36,7 @@ from conftest import (
     branch,
     crown_quiver,
     cycle,
+    fib_dag,
     kronecker,
     path_of,
     random_connected_dag,
@@ -283,3 +287,89 @@ def test_h1_pregenerated_builds_its_own_algebra():
         assert h1_pregenerated(pres) == h1_pregenerated(pres, build_algebra(pres))
     with pytest.raises(NotApplicable, match="requires an admissible ideal"):
         h1_pregenerated(AlgebraPresentation(cycle(3), MonomialIdeal([])))
+
+
+# --- the counting acyclic rows against the enumerating ones they replaced ------
+
+
+def reference_h1_path_algebra_acyclic(quiver):
+    """The enumerate-then-pair path algebra row that the per-length count replaced."""
+    per = []
+    n_pairs = 0
+    for comp in connected_components(quiver):
+        pairs = parallel_pairs(enumerate_paths(comp), [arrow_path(a) for a in comp.arrows])
+        per.append((comp.vertices[0], 1 - len(comp.vertices) + len(pairs)))
+        n_pairs += len(pairs)
+    return H1Report(
+        sum(d for _, d in per), "path_algebra_acyclic", per,
+        {
+            "n_vertices": len(quiver.vertices),
+            "n_path_arrow_couples": n_pairs,
+            "dim_center_per_component": 1,
+            "sum_diagonal_slices": len(quiver.vertices),
+        },
+    )
+
+
+def reference_h1_truncated_acyclic(quiver, m):
+    """The enumerate-then-pair truncated row that the per-length count replaced."""
+    per = []
+    n_couples = 0
+    for comp in connected_components(quiver):
+        B = enumerate_paths(comp, max_length=m - 1)
+        pairs = parallel_pairs([arrow_path(a) for a in comp.arrows], B)
+        per.append((comp.vertices[0], 1 - len(comp.vertices) + len(pairs)))
+        n_couples += len(pairs)
+    return H1Report(
+        sum(d for _, d in per), "truncated_acyclic", per,
+        {"n_vertices": len(quiver.vertices), "n_couples": n_couples},
+    )
+
+
+def _acyclic_quivers():
+    rng = random.Random(29)
+    quivers = [random_connected_dag(rng, max_vertices=7, max_arrows=12) for _ in range(40)]
+    quivers += [fib_dag(n) for n in range(2, 15)]
+    q1, q2 = kronecker(3), fib_dag(6)  # a disconnected quiver: two components
+    quivers.append(Quiver(
+        list(q1.vertices) + [f"w{v}" for v in q2.vertices] + ["lone"],
+        list(q1.arrows) + [Arrow(f"w{a.name}", f"w{a.source}", f"w{a.target}") for a in q2.arrows],
+    ))
+    return quivers
+
+
+def test_acyclic_rows_match_the_enumerating_reference():
+    for q in _acyclic_quivers():
+        assert h1_path_algebra_acyclic(q) == reference_h1_path_algebra_acyclic(q)
+        for m in range(2, 6):
+            assert h1_truncated_acyclic(q, m) == reference_h1_truncated_acyclic(q, m)
+
+
+def test_acyclic_rows_list_no_paths(monkeypatch):
+    from quiverh1 import presentations, quiver
+
+    listed = []
+
+    def counted(*args, real=quiver.enumerate_paths, **kwargs):
+        listed.append(args)
+        return real(*args, **kwargs)
+
+    for module in (quiver, presentations):
+        monkeypatch.setattr(module, "enumerate_paths", counted)
+    real_init = Path.__init__
+    monkeypatch.setattr(Path, "__init__", lambda self, *a, **k: listed.append(a) or real_init(self, *a, **k))
+    for q in (fib_dag(18), crown_quiver(), kronecker(3)):
+        h1_path_algebra_acyclic(q)
+        for m in range(2, 6):
+            h1_truncated_acyclic(q, m)
+    assert listed == []
+
+
+def test_fib_dag_beyond_enumeration():
+    # arrows i -> i+1 have one parallel path, arrows i -> i+2 two: 1 - n + (n-1) + 2(n-2)
+    q = fib_dag(40)
+    report = classify_and_compute(AlgebraPresentation(q))
+    assert (report.method, report.dim_h1) == ("path_algebra_acyclic", 76)
+    assert report.intermediates["n_path_arrow_couples"] == 3 * 40 - 5
+    assert classify_and_compute(AlgebraPresentation(q, TruncationIdeal(2))).dim_h1 == 38
+    assert classify_and_compute(AlgebraPresentation(q, TruncationIdeal(3))).dim_h1 == 76

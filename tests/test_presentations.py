@@ -11,7 +11,6 @@ from quiverh1.presentations import (
     MonomialIdeal,
     StructureConstantAlgebra,
     TruncationIdeal,
-    _occurrences,
     basis_B,
     build_algebra,
     check_minimal,
@@ -26,7 +25,9 @@ from quiverh1.presentations import (
 from quiverh1.quiver import Arrow, Quiver, connected_components, enumerate_paths, is_acyclic
 from quiverh1.simplicial import Poset, incidence_algebra
 
-from conftest import a2, a3, branch, cycle, kronecker, path_of, random_connected_dag, random_minimal_ideal
+from conftest import (
+    a2, a3, branch, cycle, fib_dag, kronecker, occurrences, path_of, random_connected_dag, random_minimal_ideal,
+)
 
 
 def line4():
@@ -358,7 +359,7 @@ def reference_basis(q, Z):
     """The enumerate-then-filter basis that the avoidance search replaced."""
     return [
         p for p in enumerate_paths(q, max_length=_reference_bound(q, Z))
-        if not any(_occurrences(p, z) for z in Z.generators)
+        if not any(occurrences(p, z) for z in Z.generators)
     ]
 
 
@@ -369,7 +370,7 @@ def reference_slice_dims(q, Z, x, y):
         if p.source != x or p.target != y:
             continue
         dim_total += 1
-        occs = [(i, i + z.length) for z in Z.generators for i in _occurrences(p, z)]
+        occs = [(i, i + z.length) for z in Z.generators for i in occurrences(p, z)]
         if occs:
             dim_I += 1
             if any(i > 0 or j < p.length for (i, j) in occs):
@@ -408,3 +409,65 @@ def test_pregenerated_test_enumerates_paths_once(monkeypatch):
     monkeypatch.setattr(presentations, "enumerate_paths", counted)
     assert is_pregenerated_monomial(q, Z)
     assert len(calls) == 1
+
+
+def reference_check_minimal(quiver, Z):
+    """The pairwise minimality test that the sub-sequence lookup replaced."""
+    gens = list(Z)
+    for z in gens:
+        if z.length < 2:
+            raise InvalidIdeal(f"length < 2 generator: {z.label()}", z)
+    ideal = MonomialIdeal(gens)
+    for z in ideal.generators:
+        for w in ideal.generators:
+            if w is z or w.length >= z.length:
+                continue
+            if occurrences(z, w):
+                raise InvalidIdeal(f"non-minimal: {z.label()} contains {w.label()}", z)
+    return ideal
+
+
+def _minimality_outcome(check, q, gens):
+    try:
+        return check(q, gens).generators
+    except InvalidIdeal as exc:
+        return str(exc), exc.generator
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cyclic=st.booleans(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
+def test_check_minimal_matches_the_pairwise_test(cyclic, seed, k):
+    """Same ideal, or the same generator and message, on random generator sets
+    (nested ones included, and on cycles generators that repeat arrows)."""
+    rng = random.Random(seed)
+    if cyclic:
+        q = cycle(rng.randint(1, 4))
+        paths = enumerate_paths(q, max_length=6)
+    else:
+        q = random_connected_dag(rng, max_vertices=6, max_arrows=10)
+        paths = enumerate_paths(q)
+    candidates = [p for p in paths if p.length >= 2]
+    gens = rng.sample(candidates, min(k, len(candidates)))
+    assert _minimality_outcome(check_minimal, q, gens) == _minimality_outcome(reference_check_minimal, q, gens)
+
+
+def reference_truncated_is_pregenerated(q, m):
+    """The two-enumeration test that the per-length path counts replaced."""
+    short = {(p.source, p.target) for p in enumerate_paths(q, max_length=m - 1)}
+    return not any(p.length == m and (p.source, p.target) in short for p in enumerate_paths(q, max_length=m))
+
+
+def test_truncated_is_pregenerated_matches_two_enumerations():
+    rng = random.Random(37)
+    quivers = [cycle(n) for n in range(1, 7)] + [fib_dag(n) for n in range(2, 9)] + [kronecker(2), branch()]
+    for _ in range(30):
+        q = random_connected_dag(rng)
+        back = Arrow("back", q.vertices[-1], q.vertices[rng.randrange(len(q.vertices))])
+        quivers += [q, Quiver(q.vertices, q.arrows + (back,))]
+    seen = set()
+    for q in quivers:
+        for m in range(2, 7):
+            expected = reference_truncated_is_pregenerated(q, m)
+            assert truncated_is_pregenerated(q, m) == expected
+            seen.add(expected)
+    assert seen == {True, False}

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverh1.errors import InfinitePathSet, InvalidQuiver, NotApplicable
 from quiverh1.quiver import (
@@ -14,11 +17,14 @@ from quiverh1.quiver import (
     is_acyclic,
     is_narrow,
     parallel_pairs,
+    path_counts,
     trivial_path,
     validate,
 )
 
-from conftest import a2, a3, branch, crown_quiver, cycle, dp_path_count, kronecker, path_of, random_connected_dag
+from conftest import (
+    a2, a3, branch, crown_quiver, cycle, dp_path_count, fib_dag, kronecker, path_of, random_connected_dag,
+)
 
 
 def test_validate_ok():
@@ -97,6 +103,7 @@ def test_enumerate_matches_dp_oracle():
     for _ in range(25):
         q = random_connected_dag(rng)
         assert len(enumerate_paths(q)) == dp_path_count(q)
+        assert sum(n for layer in path_counts(q) for n in layer.values()) == dp_path_count(q)
 
 
 def test_compose_identity_and_chain():
@@ -161,3 +168,41 @@ def test_path_invariants():
         Path("y", (q.arrows[0],))  # source mismatch
     with pytest.raises(ValueError):
         Path("x", (q.arrows[0], q.arrows[0]))  # not composable
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    ends=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=7),
+    acyclic=st.booleans(),
+    bound=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_path_counts_match_enumeration(n, ends, acyclic, bound):
+    """Per length and vertex pair, path_counts counts what enumerate_paths lists:
+    random DAGs bounded and unbounded, and quivers with cycles, loops and
+    multiple arrows at bounded length."""
+    ends = [(s % n, t % n) for s, t in ends]
+    if acyclic:
+        ends = [(min(s, t), max(s, t)) for s, t in ends if s != t]
+    q = Quiver([f"v{i}" for i in range(n)], [Arrow(f"a{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(ends)])
+    if bound is None and not is_acyclic(q):
+        with pytest.raises(InfinitePathSet):
+            path_counts(q)
+        return
+    expected: dict[int, Counter] = {}
+    for p in enumerate_paths(q, max_length=bound):
+        expected.setdefault(p.length, Counter())[(p.source, p.target)] += 1
+    assert dict(enumerate(path_counts(q, max_length=bound))) == {k: dict(c) for k, c in expected.items()}
+
+
+def test_path_counts_unbounded_on_a_cycle_raises():
+    with pytest.raises(InfinitePathSet):
+        path_counts(cycle(3))
+    assert [sum(layer.values()) for layer in path_counts(cycle(3), max_length=2)] == [3, 3, 3]
+
+
+def test_path_counts_fib_dag_beyond_enumeration():
+    # paths from the first to the last vertex of the n-vertex Fib-DAG: Fibonacci F(n)
+    counts = path_counts(fib_dag(40))
+    assert sum(layer.get(("v0", "v39"), 0) for layer in counts) == 102334155
+    assert len(counts) == 40  # the longest path has 39 arrows
