@@ -17,6 +17,9 @@ File grammar (line-oriented, '#' starts a comment):
     end
 
 Exit statuses: 0 success/agreement, 1 mismatch, 2 input error, 3 unsupported.
+When no formula applies to a presentation, ``check`` still prints the oracle's
+report, then the "formula unavailable" error, and exits 3 (or with the
+oracle's own error and status, when the oracle fails too).
 Every file is run and reported; with several files the exit status is the
 worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 """
@@ -387,7 +390,13 @@ def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
         elif args.command == "oracle":
             report = run_oracle(doc, prime=prime, max_dim=args.max_dim)
         elif args.command == "check":
-            report = run_check(doc, prime=prime, max_dim=args.max_dim)
+            try:
+                report = run_check(doc, prime=prime, max_dim=args.max_dim)
+            except FormulaUnavailable:
+                if doc.kind != "quiver-presentation":
+                    raise
+                _print_report(run_oracle(doc, prime=prime, max_dim=args.max_dim), args.json, args.per_component)
+                raise
         else:
             report = run_poset(doc, prime=prime)
     except (FormulaUnavailable, GuardExceeded) as exc:

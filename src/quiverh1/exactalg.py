@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import GuardExceeded, NotApplicable
 from .presentations import Combo, StructureConstantAlgebra
+from .quiver import PathBasis
 
 Row = dict  # column -> scalar
 
@@ -230,36 +231,25 @@ def quotient_bimodule(path_algebra: StructureConstantAlgebra,
     """The quotient algebra as a bimodule over the path algebra.
 
     Both algebras must carry path bases over the same quiver; the action is
-    multiplication followed by projection onto the surviving basis paths.
+    multiplication followed by projection onto the surviving basis paths, read
+    off the quotient basis's concatenation lookup.
     """
     if path_algebra.basis_paths is None or quotient.basis_paths is None:
         raise NotApplicable("quotient bimodule needs path bases on both algebras")
-    qindex = {(p.source, p.arrow_names()): i for i, p in enumerate(quotient.basis_paths)}
-    from .quiver import compose
-
-    d = path_algebra.dimension
-    dx = quotient.dimension
-    left = []
-    right = []
-    for b in range(d):
-        pb = path_algebra.basis_paths[b]
-        lb: dict = {}
-        rb: dict = {}
-        for j in range(dx):
-            xj = quotient.basis_paths[j]
-            prod = compose(pb, xj)
-            if prod is not None:
-                k = qindex.get((prod.source, prod.arrow_names()))
-                if k is not None:
-                    lb[j] = k
-            prod = compose(xj, pb)
-            if prod is not None:
-                k = qindex.get((prod.source, prod.arrow_names()))
-                if k is not None:
-                    rb[j] = k
-        left.append(lb)
-        right.append(rb)
-    return BimoduleRep(path_algebra, dx, tuple(left), tuple(right)).validate()
+    paths, quot = PathBasis(path_algebra.basis_paths), PathBasis(quotient.basis_paths)
+    left: list[dict] = [{} for _ in paths]
+    right: list[dict] = [{} for _ in paths]
+    for b, p in enumerate(paths):  # p . x_j
+        for j in quot.starting.get(p.target, ()):
+            k = quot.find(p, quot[j])
+            if k is not None:
+                left[b][j] = k
+    for j, x in enumerate(quot):  # x_j . p
+        for b in paths.starting.get(x.target, ()):
+            k = quot.find(x, paths[b])
+            if k is not None:
+                right[b][j] = k
+    return BimoduleRep(path_algebra, quotient.dimension, tuple(left), tuple(right)).validate()
 
 
 # --- oracles -----------------------------------------------------------------

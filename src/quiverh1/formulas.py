@@ -24,22 +24,22 @@ from .presentations import (
     MonomialIdeal,
     StructureConstantAlgebra,
     TruncationIdeal,
+    _generator_spans,
     basis_B,
     build_algebra,
-    contains_generator,
     is_pregenerated_monomial,
     truncated_is_pregenerated,
 )
 from .quiver import (
     ParallelPair,
     Path,
+    PathBasis,
     Quiver,
     VertexId,
     arrow_path,
     connected_components,
     is_acyclic,
     is_narrow,
-    parallel_pairs,
     path_counts,
 )
 
@@ -62,60 +62,32 @@ class H1Report:
     intermediates: dict = field(default_factory=dict)
 
 
-def glued_pairs(quiver: Quiver, B: list[Path]) -> list[ParallelPair]:
-    """Couples (a, e) where a is the first or last arrow of e, or a loop at e's vertex."""
-    out = []
-    for pair in parallel_pairs([arrow_path(a) for a in quiver.arrows], B):
-        a = pair.left.arrows[0]
-        e = pair.right
-        if e.is_trivial:
-            if a.is_loop and a.source == e.source:
-                out.append(pair)
-        elif e.arrows[0] == a or e.arrows[-1] == a:
-            out.append(pair)
-    return out
-
-
-def _substitutions(gamma: Path, a, e: Path) -> list[Path]:
-    """Paths obtained by replacing one occurrence of arrow a inside gamma by e."""
-    out = []
-    for i, arr in enumerate(gamma.arrows):
-        if arr == a:
-            out.append(Path(gamma.source, gamma.arrows[:i] + e.arrows + gamma.arrows[i + 1 :]))
-    return out
-
-
 def effective_pairs(quiver: Quiver, Z: MonomialIdeal, B: list[Path]) -> CoupleClassification:
-    """Classify all (arrow, basis path) couples; effective ones witness a substitution
-    of the arrow by its parallel path inside some generator that lands back in B."""
+    """Classify the couples (arrow a, basis path e parallel to a), in arrow order and then
+    basis order.  A couple is glued when e begins or ends with a, or a is a loop at the
+    trivial path e.  On an acyclic quiver the glued couples are exactly the diagonal (a, a):
+    a parallel path a*w or w*a with w nontrivial would make w a cycle, and a trivial path is
+    parallel to a loop only.  Any other couple is effective when replacing one occurrence of
+    a inside some generator by e gives a path that contains no generator; glued couples
+    count as non-effective and come first."""
     if not is_acyclic(quiver):
         raise NotApplicable("cyclic quiver unsupported for effective-couple classification")
-    pairs = parallel_pairs([arrow_path(a) for a in quiver.arrows], B)
-    glued = set()
-    for pair in glued_pairs(quiver, B):
-        glued.add((pair.left.arrows[0].name, pair.right.arrow_names(), pair.right.source))
-    effective = []
-    non_effective = []
-    glued_list = []
-    for pair in pairs:
-        a = pair.left.arrows[0]
-        e = pair.right
-        if (a.name, e.arrow_names(), e.source) in glued:
-            glued_list.append(pair)
-            continue
-        hit = False
-        for gamma in Z.generators:
-            for candidate in _substitutions(gamma, a, e):
-                if not contains_generator(candidate, Z):
-                    hit = True
-                    break
-            if hit:
-                break
-        (effective if hit else non_effective).append(pair)
-    non_effective = glued_list + non_effective
-    return CoupleClassification(
-        tuple(pairs), tuple(glued_list), tuple(effective), tuple(non_effective)
-    )
+    basis = PathBasis(B)
+    pairs, glued, effective, non_effective = [], [], [], []
+    for a in quiver.arrows:
+        for i in basis.between.get((a.source, a.target), ()):
+            e = basis[i]
+            pair = ParallelPair(arrow_path(a), e)
+            pairs.append(pair)
+            names = e.arrow_names()
+            if names == (a.name,):
+                glued.append(pair)
+            elif any(not _generator_spans(z[:k] + names + z[k + 1:], Z)
+                     for z in Z.names for k, x in enumerate(z) if x == a.name):
+                effective.append(pair)
+            else:
+                non_effective.append(pair)
+    return CoupleClassification(tuple(pairs), tuple(glued), tuple(effective), tuple(glued + non_effective))
 
 
 def _restrict_ideal(component: Quiver, Z: MonomialIdeal) -> MonomialIdeal:
@@ -232,12 +204,9 @@ class BimoduleSliceData:
 
 
 def slice_data_from_paths(quiver: Quiver, module_paths: list[Path], dim_X_T: int) -> BimoduleSliceData:
-    """Slice data for a bimodule with a path basis; dim_X_T must be supplied
-    (it is the invariant dimension, an exactalg computation for X != kQ)."""
-    slices: dict[tuple[VertexId, VertexId], int] = {}
-    for p in module_paths:
-        key = (p.source, p.target)
-        slices[key] = slices.get(key, 0) + 1
+    """Slice data for a bimodule with a path basis, read from its endpoint groups; dim_X_T
+    must be supplied (it is the invariant dimension, an exactalg computation for X != kQ)."""
+    slices = {pair: len(group) for pair, group in PathBasis(module_paths).between.items()}
     dim_E = sum(n for (x, y), n in slices.items() if x == y)
     return BimoduleSliceData(slices, dim_E, dim_X_T)
 

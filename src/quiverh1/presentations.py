@@ -18,6 +18,7 @@ from .errors import InfiniteBasis, InvalidIdeal, NotApplicable
 from .quiver import (
     Arrow,
     Path,
+    PathBasis,
     Quiver,
     VertexId,
     enumerate_paths,
@@ -102,11 +103,6 @@ def _generator_spans(names: tuple[str, ...], Z: MonomialIdeal) -> list[tuple[int
             if names[i : i + n] in Z.names]
 
 
-def contains_generator(p: Path, Z: MonomialIdeal) -> bool:
-    """True iff some generator occurs as a contiguous sub-path of p."""
-    return bool(_generator_spans(p.arrow_names(), Z))
-
-
 # --- avoidance automaton -----------------------------------------------------
 #
 # States are (vertex, window of the last max_len-1 arrow names).  A transition
@@ -119,7 +115,7 @@ _State = tuple[VertexId, tuple[str, ...]]
 
 def _automaton(quiver: Quiver, Z: MonomialIdeal):
     keep = max(Z.max_generator_length - 1, 0)
-    out = {v: quiver.arrows_from(v) for v in quiver.vertices}
+    out = quiver.successors
 
     def step(state: _State, a: Arrow) -> Optional[_State]:
         seq = state[1] + (a.name,)
@@ -184,16 +180,15 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     """
     if not is_admissible_monomial(quiver, Z):
         raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
-    out = {v: quiver.arrows_from(v) for v in quiver.vertices}
     result: list[Path] = []
-    stack = [(v, v, (), ()) for v in quiver.vertices]  # source, target, arrows, names
+    stack = [Path(v) for v in quiver.vertices]
     while stack:
-        source, target, arrows, names = stack.pop()
-        result.append(Path(source, arrows))
-        for a in out[target]:
-            seq = names + (a.name,)
+        p = stack.pop()
+        result.append(p)
+        for a in quiver.successors[p.target]:
+            seq = p.arrow_names() + (a.name,)
             if not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
-                stack.append((source, a.target, arrows + (a,), seq))
+                stack.append(p._then(a))
     result.sort(key=Path.sort_key)
     return result
 
@@ -264,15 +259,15 @@ class StructureConstantAlgebra:
     ``table[(i, j)] = k`` means b_i b_j = b_k; absent keys mean zero.  Every
     algebra the program builds (paths modulo a monomial ideal, matrix units of
     an incidence algebra) multiplies basis elements this way.  ``basis_paths``
-    is kept when the basis consists of paths, so vertex-pair slices can be
-    read off.
+    is kept when the basis consists of paths, so vertex-pair slices and
+    concatenations can be read off.
     """
 
     basis: tuple[str, ...]
     table: dict[tuple[int, int], int]
     unit: Combo
     vertex_idempotents: dict[VertexId, int]
-    basis_paths: Optional[tuple[Path, ...]] = None
+    basis_paths: Optional[PathBasis] = None
 
     @property
     def dimension(self) -> int:
@@ -344,21 +339,18 @@ class StructureConstantAlgebra:
         return self
 
 
-def _path_basis_algebra(quiver: Quiver, paths: list[Path]) -> StructureConstantAlgebra:
-    names = [p.arrow_names() for p in paths]
-    index = {(p.source, names[i]): i for i, p in enumerate(paths)}
+def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:
+    """Pairs each basis path only with the basis paths starting at its target."""
+    basis = PathBasis(paths)
     table: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(paths):
-        for j, q in enumerate(paths):
-            if p.target == q.source:
-                k = index.get((p.source, names[i] + names[j]))
-                if k is not None:
-                    table[(i, j)] = k
-    idem = {p.source: i for i, p in enumerate(paths) if p.is_trivial}
+    for i, p in enumerate(basis):
+        for j in basis.starting.get(p.target, ()):
+            k = basis.find(p, basis[j])
+            if k is not None:
+                table[(i, j)] = k
+    idem = {p.source: i for i, p in enumerate(basis) if p.is_trivial}
     unit = {i: 1 for i in idem.values()}
-    return StructureConstantAlgebra(
-        tuple(p.label() for p in paths), table, unit, idem, tuple(paths)
-    )
+    return StructureConstantAlgebra(tuple(p.label() for p in basis), table, unit, idem, basis)
 
 
 def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra:
@@ -379,4 +371,4 @@ def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra
         paths = basis_B(q, presentation.scheme)
     else:  # truncated
         paths = enumerate_paths(q, max_length=presentation.scheme.m - 1)
-    return _path_basis_algebra(q, paths).check()
+    return _path_basis_algebra(paths).check()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InfinitePathSet, InvalidQuiver, NotApplicable
@@ -23,14 +24,11 @@ class Arrow:
     source: VertexId
     target: VertexId
 
-    @property
-    def is_loop(self) -> bool:
-        return self.source == self.target
-
 
 @dataclass(frozen=True)
 class Quiver:
-    """Vertices and arrows in insertion order; iteration order is deterministic."""
+    """Vertices and arrows in insertion order; iteration order is deterministic.
+    The arrows leaving each vertex, and acyclicity, are computed once per quiver."""
 
     vertices: tuple[VertexId, ...]
     arrows: tuple[Arrow, ...]
@@ -39,13 +37,23 @@ class Quiver:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "arrows", tuple(arrows))
 
-    def arrows_from(self, v: VertexId) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
+    @cached_property
+    def successors(self) -> dict[VertexId, tuple[Arrow, ...]]:
+        """The arrows leaving each vertex, in arrow order (an unknown source leaves none)."""
+        out: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            out.get(a.source, []).append(a)
+        return {v: tuple(arrows) for v, arrows in out.items()}
+
+    @cached_property
+    def acyclic(self) -> bool:
+        return _acyclicity_search(self)
 
 
 @dataclass(frozen=True)
 class Path:
-    """A composable arrow sequence; an empty sequence is the trivial path at ``source``."""
+    """A composable arrow sequence; an empty sequence is the trivial path at ``source``.
+    Its arrow names are stored once, as ``arrow_names()``."""
 
     source: VertexId
     arrows: tuple[Arrow, ...] = ()
@@ -58,8 +66,15 @@ class Path:
             for a, b in zip(arrows, arrows[1:]):
                 if a.target != b.source:
                     raise ValueError(f"arrows {a.name!r} and {b.name!r} are not composable")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "arrows", arrows)
+        self._fill(source, arrows, tuple(a.name for a in arrows))
+
+    def _fill(self, source: VertexId, arrows: tuple[Arrow, ...], names: tuple[str, ...]) -> "Path":
+        vars(self).update(source=source, arrows=arrows, _names=names)
+        return self
+
+    def _then(self, a: Arrow) -> "Path":
+        """This path followed by arrow a, which must start at its target (not re-checked)."""
+        return object.__new__(Path)._fill(self.source, self.arrows + (a,), self._names + (a.name,))
 
     @property
     def target(self) -> VertexId:
@@ -74,15 +89,15 @@ class Path:
         return not self.arrows
 
     def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
+        return self._names
 
     def label(self) -> str:
         if not self.arrows:
             return f"e_{self.source}"
-        return "*".join(a.name for a in self.arrows)
+        return "*".join(self._names)
 
     def sort_key(self):
-        return (self.length, self.arrow_names(), self.source)
+        return (len(self._names), self._names, self.source)
 
 
 @dataclass(frozen=True)
@@ -132,7 +147,12 @@ def validate(quiver: Quiver) -> Quiver:
 
 def is_acyclic(quiver: Quiver) -> bool:
     """True iff no path of length >= 1 returns to its source (loops count as cycles)."""
-    out = {v: [a.target for a in quiver.arrows_from(v)] for v in quiver.vertices}
+    return quiver.acyclic
+
+
+def _acyclicity_search(quiver: Quiver) -> bool:
+    """The depth-first search behind ``Quiver.acyclic``, which runs it once per quiver."""
+    out = quiver.successors
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in quiver.vertices}
     for start in quiver.vertices:
@@ -142,16 +162,14 @@ def is_acyclic(quiver: Quiver) -> bool:
         color[start] = GRAY
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
+            for a in it:
+                if color[a.target] == GRAY:
                     return False
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(out[w])))
-                    advanced = True
+                if color[a.target] == WHITE:
+                    color[a.target] = GRAY
+                    stack.append((a.target, iter(out[a.target])))
                     break
-            if not advanced:
+            else:
                 color[v] = BLACK
                 stack.pop()
     return True
@@ -196,19 +214,12 @@ def enumerate_paths(quiver: Quiver, max_length: Optional[int] = None) -> list[Pa
     """
     if max_length is None and not is_acyclic(quiver):
         raise InfinitePathSet("infinite path set: unbounded enumeration on a cyclic quiver")
-    out = {v: quiver.arrows_from(v) for v in quiver.vertices}
-    paths: list[Path] = [trivial_path(v) for v in quiver.vertices]
-    frontier = list(paths)
-    length = 0
-    while frontier:
-        if max_length is not None and length >= max_length:
-            break
-        nxt = []
-        for p in frontier:
-            for a in out[p.target]:
-                nxt.append(Path(p.source, p.arrows + (a,)))
-        paths.extend(nxt)
-        frontier = nxt
+    out = quiver.successors
+    paths = [trivial_path(v) for v in quiver.vertices]
+    frontier, length = paths, 0
+    while frontier and (max_length is None or length < max_length):
+        frontier = [p._then(a) for p in frontier for a in out[p.target]]
+        paths.extend(frontier)
         length += 1
     paths.sort(key=Path.sort_key)
     return paths
@@ -221,17 +232,27 @@ def compose(p: Path, q: Path) -> Optional[Path]:
     return Path(p.source, p.arrows + q.arrows)
 
 
-def parallel_pairs(lefts: Iterable[Path], rights: Iterable[Path]) -> list[ParallelPair]:
-    """All pairs (l, r) with matching source and matching target."""
-    rights = list(rights)
-    by_endpoints: dict[tuple[str, str], list[Path]] = {}
-    for r in rights:
-        by_endpoints.setdefault((r.source, r.target), []).append(r)
-    pairs = []
-    for l in lefts:
-        for r in by_endpoints.get((l.source, l.target), ()):
-            pairs.append(ParallelPair(l, r))
-    return pairs
+class PathBasis(tuple):
+    """A sorted tuple of paths, keyed once for every reader: ``index[(source, names)]``
+    is a path's position, ``between[(x, y)]`` the positions of the paths from x to y and
+    ``starting[x]`` those of the paths from x, each in basis order.  Given a PathBasis,
+    the constructor returns it, so no reader rebuilds the keys."""
+
+    def __new__(cls, paths: Iterable[Path]):
+        if isinstance(paths, PathBasis):
+            return paths
+        self = super().__new__(cls, paths)
+        self.index = {(p.source, p._names): i for i, p in enumerate(self)}
+        self.between: dict[tuple[VertexId, VertexId], list[int]] = {}
+        self.starting: dict[VertexId, list[int]] = {}
+        for i, p in enumerate(self):
+            self.between.setdefault((p.source, p.target), []).append(i)
+            self.starting.setdefault(p.source, []).append(i)
+        return self
+
+    def find(self, p: Path, q: Path) -> Optional[int]:
+        """The position of the path "p then q" (q starts where p ends), or None."""
+        return self.index.get((p.source, p._names + q._names))
 
 
 def path_counts(quiver: Quiver, max_length: Optional[int] = None) -> list[dict[tuple[VertexId, VertexId], int]]:
@@ -240,13 +261,13 @@ def path_counts(quiver: Quiver, max_length: Optional[int] = None) -> list[dict[t
     O(L |Q0| |Q1|) for L layers; raises InfinitePathSet where ``enumerate_paths`` does."""
     if max_length is None and not is_acyclic(quiver):
         raise InfinitePathSet("infinite path set: unbounded enumeration on a cyclic quiver")
-    out = {v: [a.target for a in quiver.arrows_from(v)] for v in quiver.vertices}
+    out = quiver.successors
     counts = [{(v, v): 1 for v in quiver.vertices}]
     while max_length is None or len(counts) <= max_length:
         nxt: dict[tuple[VertexId, VertexId], int] = {}
         for (x, y), n in counts[-1].items():
-            for t in out[y]:
-                nxt[(x, t)] = nxt.get((x, t), 0) + n
+            for a in out[y]:
+                nxt[(x, a.target)] = nxt.get((x, a.target), 0) + n
         if not nxt:
             break
         counts.append(nxt)

@@ -42,7 +42,7 @@ class Poset:
                     if (b, c) in leq and (a, c) not in leq:
                         leq.add((a, c))
                         changed = True
-        for a, b in leq:
+        for a, b in _in_element_order(elements, leq):
             if a != b and (b, a) in leq:
                 raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
         return cls(elements, frozenset(leq))
@@ -51,11 +51,8 @@ class Poset:
         return (a, b) in self.relation
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
-        """All (y, x) with y <= x, deterministically ordered."""
-        pos = {e: i for i, e in enumerate(self.elements)}
-        pairs = [(y, x) for (y, x) in self.relation]
-        pairs.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
-        return pairs
+        """All (y, x) with y <= x, in element order."""
+        return _in_element_order(self.elements, self.relation)
 
     def covers(self) -> list[tuple[str, str]]:
         """All (x, y) with x > y and nothing strictly between."""
@@ -70,12 +67,20 @@ class Poset:
         return out
 
 
+def _in_element_order(elements: tuple[str, ...], pairs) -> list[tuple[str, str]]:
+    """The pairs sorted by the positions of their members, so a report does not depend on
+    the iteration order of a set."""
+    pos = {e: i for i, e in enumerate(elements)}
+    return sorted(pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
+
+
 def validate_poset(p: Poset) -> Poset:
-    """Re-check the order axioms on the stored relation."""
+    """Re-check the order axioms on the stored relation; reports the first violation in
+    element order."""
     for a in p.elements:
         if (a, a) not in p.relation:
             raise InvalidPoset(f"reflexivity violation at {a!r}")
-    for a, b in p.relation:
+    for a, b in p.comparable_pairs():
         if a != b and (b, a) in p.relation:
             raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
         for c in p.elements:

@@ -3,8 +3,8 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from quiverh1.quiver import Arrow, Path, Quiver, connected_components, trivial_path
-from quiverh1.presentations import MonomialIdeal, basis_B, check_minimal
+from quiverh1.quiver import Arrow, ParallelPair, Path, Quiver, arrow_path, connected_components, trivial_path
+from quiverh1.presentations import MonomialIdeal, _generator_spans, basis_B, check_minimal
 
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
 
@@ -74,6 +74,51 @@ def occurrences(p: Path, z: Path) -> list[int]:
     return [i for i in range(len(hay) - len(needle) + 1) if hay[i : i + len(needle)] == needle]
 
 
+def contains_generator(p: Path, Z: MonomialIdeal) -> bool:
+    """True iff some generator occurs as a contiguous sub-path of p."""
+    return bool(_generator_spans(p.arrow_names(), Z))
+
+
+def parallel_pairs(lefts, rights) -> list[ParallelPair]:
+    """All pairs (l, r) with matching source and matching target."""
+    rights = list(rights)
+    by_endpoints: dict[tuple[str, str], list[Path]] = {}
+    for r in rights:
+        by_endpoints.setdefault((r.source, r.target), []).append(r)
+    pairs = []
+    for l in lefts:
+        for r in by_endpoints.get((l.source, l.target), ()):
+            pairs.append(ParallelPair(l, r))
+    return pairs
+
+
+def glued_pairs(quiver: Quiver, B: list[Path]) -> list[ParallelPair]:
+    """Couples (a, e) where a is the first or last arrow of e, or a loop at e's vertex."""
+    out = []
+    for pair in parallel_pairs([arrow_path(a) for a in quiver.arrows], B):
+        a = pair.left.arrows[0]
+        e = pair.right
+        if e.is_trivial:
+            if a.source == a.target and a.source == e.source:
+                out.append(pair)
+        elif e.arrows[0] == a or e.arrows[-1] == a:
+            out.append(pair)
+    return out
+
+
+def substitutions(gamma: Path, a: Arrow, e: Path) -> list[Path]:
+    """Paths obtained by replacing one occurrence of arrow a inside gamma by e."""
+    out = []
+    for i, arr in enumerate(gamma.arrows):
+        if arr == a:
+            out.append(Path(gamma.source, gamma.arrows[:i] + e.arrows + gamma.arrows[i + 1 :]))
+    return out
+
+
+def arrows_from(quiver: Quiver, v: str) -> list[Arrow]:
+    return [a for a in quiver.arrows if a.source == v]
+
+
 def dp_path_count(quiver: Quiver) -> int:
     """Independent oracle: total path count on an acyclic quiver by dynamic
     programming over a topological order (counts trivial paths too)."""
@@ -83,7 +128,7 @@ def dp_path_count(quiver: Quiver) -> int:
     order = [v for v in quiver.vertices if indeg[v] == 0]
     i = 0
     while i < len(order):
-        for a in quiver.arrows_from(order[i]):
+        for a in arrows_from(quiver, order[i]):
             indeg[a.target] -= 1
             if indeg[a.target] == 0:
                 order.append(a.target)
@@ -92,7 +137,7 @@ def dp_path_count(quiver: Quiver) -> int:
     # paths_from[v] counts paths starting at v
     paths_from = {v: 1 for v in quiver.vertices}
     for v in reversed(order):
-        paths_from[v] = 1 + sum(paths_from[a.target] for a in quiver.arrows_from(v))
+        paths_from[v] = 1 + sum(paths_from[a.target] for a in arrows_from(quiver, v))
     return sum(paths_from.values())
 
 

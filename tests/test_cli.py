@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import pytest
+
+import quiverh1
 
 from quiverh1.cli import (
     EXIT_INPUT,
@@ -262,3 +268,46 @@ def test_parse_reports_an_antisymmetry_violation_at_its_own_line():
         with pytest.raises(ParseError, match="antisymmetry violation") as exc:
             parse(head + relations + "end\n")
         assert exc.value.line == line
+
+
+def test_check_runs_the_oracle_when_no_formula_applies(tmp_path, capsys):
+    square = tmp_path / "square.quiver"  # k[x]/(x^2)
+    square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
+    for field, dim in (("q", 1), ("fp:2", 2)):
+        assert main(["check", "--json", "--field", field, str(square)]) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["method"], report["dim_h1"], report["field"]) == ("oracle", dim, field)
+        assert captured.err == f"error: {square}: formula unavailable, use oracle\n"
+    assert main(["oracle", "--field", "fp:2", str(square)]) == EXIT_OK
+    assert "dim H1 [oracle]: 2" in capsys.readouterr().out
+
+    cyclic = tmp_path / "cyclic.quiver"  # no relations: the oracle's own error and status
+    cyclic.write_text("quiver c\nvertex x\nvertex y\narrow a x y\narrow b y x\nend\n")
+    assert main(["check", str(cyclic)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cyclic}: infinite dimensional: path algebra of a cyclic quiver\n"
+
+    assert main(["check", str(FIXTURE_DIR / "crown.poset")]) == EXIT_UNSUPPORTED  # not a presentation
+    assert capsys.readouterr().out == ""
+
+
+def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    doc = tmp_path / "cyclic.poset"
+    doc.write_text("poset p\nelement a\nelement b\nelement c\n"
+                   "relation a <= b\nrelation b <= c\nrelation c <= a\nend\n")
+    # a relation that is not transitive in three places, built without closure
+    script = ("from quiverh1.simplicial import Poset, validate_poset\n"
+              "r = {(e, e) for e in 'abc'} | {('a', 'b'), ('b', 'c'), ('c', 'a')}\n"
+              "validate_poset(Poset(('a', 'b', 'c'), frozenset(r)))\n")
+    src = str(FsPath(quiverh1.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        cli = subprocess.run([sys.executable, "-m", "quiverh1.cli", "poset", str(doc)],
+                             env=env, capture_output=True, text=True)
+        direct = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        outputs.add((cli.returncode, cli.stderr, direct.stderr.strip().splitlines()[-1]))
+    assert outputs == {(EXIT_INPUT, f"error: {doc}: line 7: antisymmetry violation: 'a' <= 'b' <= 'a'\n",
+                        "quiverh1.errors.InvalidPoset: transitivity violation: 'a' <= 'b' <= 'c'")}

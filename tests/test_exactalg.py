@@ -449,3 +449,44 @@ def test_validate_matches_the_pairwise_loop_on_thinned_actions(family, seed, kee
                    for ops in (rep.left, rep.right))
     bad = BimoduleRep(alg, rep.dim, tuple(left), tuple(right))
     assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)
+
+
+# --- products read off the path basis against composing every pair -------------
+
+
+def reference_products(lefts, rights, target):
+    """{(i, j): k} with lefts[i] then rights[j] = target[k], composing all pairs."""
+    position = {p: k for k, p in enumerate(target)}
+    out = {}
+    for i, p in enumerate(lefts):
+        for j, q in enumerate(rights):
+            k = position.get(compose(p, q))
+            if k is not None:
+                out[(i, j)] = k
+    return out
+
+
+def _path_bases():
+    """(path algebra, quotient) pairs on acyclic and cyclic quivers."""
+    rng = random.Random(41)
+    for _ in range(25):
+        q = random_connected_dag(rng, max_vertices=5, max_arrows=7)
+        Z = random_minimal_ideal(rng, q)
+        yield build_algebra(AlgebraPresentation(q)), build_algebra(AlgebraPresentation(q, Z))
+    for n in (1, 2, 3):
+        for m in (2, 3, 4):
+            yield (build_algebra(AlgebraPresentation(cycle(n), TruncationIdeal(m + 1))),
+                   build_algebra(AlgebraPresentation(cycle(n), TruncationIdeal(m))))
+
+
+def test_path_tables_and_quotient_actions_match_composing_every_pair():
+    for kq, quot in _path_bases():
+        for alg in (kq, quot):
+            assert alg.table == reference_products(alg.basis_paths, alg.basis_paths, alg.basis_paths)
+        rep = quotient_bimodule(kq, quot)
+        left = reference_products(kq.basis_paths, quot.basis_paths, quot.basis_paths)
+        right = reference_products(quot.basis_paths, kq.basis_paths, quot.basis_paths)
+        assert list(rep.left) == [
+            {j: k for (b, j), k in left.items() if b == c} for c in range(kq.dimension)]
+        assert list(rep.right) == [
+            {j: k for (j, b), k in right.items() if b == c} for c in range(kq.dimension)]

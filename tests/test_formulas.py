@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverh1.errors import FormulaUnavailable, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, quotient_bimodule, regular_bimodule
 from quiverh1.formulas import (
+    CoupleClassification,
     H1Report,
     classify_and_compute,
     effective_pairs,
-    glued_pairs,
     h1_bound_monomial,
     h1_monomial_acyclic,
     h1_narrow,
@@ -27,7 +30,7 @@ from quiverh1.presentations import (
     truncation_generators,
 )
 from quiverh1.quiver import (
-    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_narrow, parallel_pairs,
+    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_acyclic, is_narrow,
 )
 
 from conftest import (
@@ -36,11 +39,15 @@ from conftest import (
     branch,
     crown_quiver,
     cycle,
+    contains_generator,
     fib_dag,
+    glued_pairs,
     kronecker,
+    parallel_pairs,
     path_of,
     random_connected_dag,
     random_minimal_ideal,
+    substitutions,
 )
 
 
@@ -373,3 +380,117 @@ def test_fib_dag_beyond_enumeration():
     assert report.intermediates["n_path_arrow_couples"] == 3 * 40 - 5
     assert classify_and_compute(AlgebraPresentation(q, TruncationIdeal(2))).dim_h1 == 38
     assert classify_and_compute(AlgebraPresentation(q, TruncationIdeal(3))).dim_h1 == 76
+
+
+# --- the grouped couple classification against the pairing one it replaced -----
+
+
+def reference_effective_pairs(quiver, Z, B):
+    """Pair every arrow with every parallel basis path, key the glued couples on
+    (name, names, source) and test each substitution as a Path."""
+    if not is_acyclic(quiver):
+        raise NotApplicable("cyclic quiver unsupported for effective-couple classification")
+    pairs = parallel_pairs([arrow_path(a) for a in quiver.arrows], B)
+    glued = set()
+    for pair in glued_pairs(quiver, B):
+        glued.add((pair.left.arrows[0].name, pair.right.arrow_names(), pair.right.source))
+    effective = []
+    non_effective = []
+    glued_list = []
+    for pair in pairs:
+        a = pair.left.arrows[0]
+        e = pair.right
+        if (a.name, e.arrow_names(), e.source) in glued:
+            glued_list.append(pair)
+            continue
+        hit = False
+        for gamma in Z.generators:
+            for candidate in substitutions(gamma, a, e):
+                if not contains_generator(candidate, Z):
+                    hit = True
+                    break
+            if hit:
+                break
+        (effective if hit else non_effective).append(pair)
+    non_effective = glued_list + non_effective
+    return CoupleClassification(tuple(pairs), tuple(glued_list), tuple(effective), tuple(non_effective))
+
+
+def test_effective_pairs_match_the_pairing_reference(monomial_instances):
+    n_effective = 0
+    for q, Z in monomial_instances:
+        B = basis_B(q, Z)
+        cls = effective_pairs(q, Z, B)
+        ref = reference_effective_pairs(q, Z, B)
+        assert (cls.all, cls.glued, cls.effective, cls.non_effective) == (
+            ref.all, ref.glued, ref.effective, ref.non_effective)
+        assert [(p.left, p.right) for p in cls.glued] == [(arrow_path(a), arrow_path(a)) for a in q.arrows]
+        n_effective += len(cls.effective)
+    assert n_effective > 0
+
+
+def _seeded_presentation(kind, seed, m, prefix=""):
+    """A connected acyclic monomial or truncated presentation drawn from the seed, its
+    vertices and arrows renamed with the prefix."""
+    rng = random.Random(seed)
+    q = random_connected_dag(rng, max_vertices=6, max_arrows=9)
+    Z = random_minimal_ideal(rng, q)
+    renamed = {a.name: Arrow(prefix + a.name, prefix + a.source, prefix + a.target) for a in q.arrows}
+    quiver = Quiver([prefix + v for v in q.vertices], renamed.values())
+    if kind == "truncated":
+        return AlgebraPresentation(quiver, TruncationIdeal(m))
+    gens = [Path(prefix + z.source, [renamed[a.name] for a in z.arrows]) for z in Z.generators]
+    return AlgebraPresentation(quiver, MonomialIdeal(gens))
+
+
+def _opposite(pres):
+    """Arrows reversed, and every generator read backwards."""
+    rev = {a.name: Arrow(a.name, a.target, a.source) for a in pres.quiver.arrows}
+    quiver = Quiver(pres.quiver.vertices, rev.values())
+    if pres.kind == "truncated":
+        return AlgebraPresentation(quiver, pres.scheme)
+    gens = [Path(z.target, [rev[a.name] for a in reversed(z.arrows)]) for z in pres.scheme.generators]
+    return AlgebraPresentation(quiver, MonomialIdeal(gens))
+
+
+def _disjoint_union(p1, p2):
+    quiver = Quiver(p1.quiver.vertices + p2.quiver.vertices, p1.quiver.arrows + p2.quiver.arrows)
+    if p1.kind == "truncated":
+        return AlgebraPresentation(quiver, p1.scheme)
+    return AlgebraPresentation(quiver, MonomialIdeal(p1.scheme.generators + p2.scheme.generators))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["monomial", "truncated"]), seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4))
+def test_dim_h1_is_invariant_under_the_opposite_presentation(kind, seed, m):
+    pres = _seeded_presentation(kind, seed, m)
+    assert classify_and_compute(_opposite(pres)).dim_h1 == classify_and_compute(pres).dim_h1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["monomial", "truncated"]), seeds=st.tuples(st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1)), m=st.integers(2, 4))
+def test_dim_h1_is_additive_over_a_disjoint_union(kind, seeds, m):
+    p1, p2 = (_seeded_presentation(kind, seed, m, prefix) for seed, prefix in zip(seeds, ("l", "r")))
+    union = classify_and_compute(_disjoint_union(p1, p2))
+    assert union.dim_h1 == classify_and_compute(p1).dim_h1 + classify_and_compute(p2).dim_h1
+    assert len(union.per_component) == 2
+
+
+def test_acyclicity_is_searched_once_per_quiver(monkeypatch):
+    from quiverh1 import quiver as quiver_module
+
+    searched = []
+    real = quiver_module._acyclicity_search
+    monkeypatch.setattr(quiver_module, "_acyclicity_search", lambda q: searched.append(id(q)) or real(q))
+    c3, loop = cycle(3), Quiver(["v"], [Arrow("x", "v", "v")])
+    pregenerated = AlgebraPresentation(c3, truncation_generators(c3, 2))
+    assert classify_and_compute(pregenerated).method == "pregenerated"  # slices, then the basis
+    assert searched == [id(c3)]
+    with pytest.raises(FormulaUnavailable):  # k[x]/(x^2) is not pre-generated
+        classify_and_compute(AlgebraPresentation(loop, MonomialIdeal([path_of(loop, "x", "x")])))
+    assert searched == [id(c3), id(loop)]
+    union = _disjoint_union(*(_seeded_presentation("monomial", 7, 2, p) for p in "lr"))
+    searched.clear()
+    classify_and_compute(union)
+    assert len(searched) == 3 and set(Counter(searched).values()) == {1}  # the union, then each component

@@ -14,7 +14,6 @@ from quiverh1.presentations import (
     basis_B,
     build_algebra,
     check_minimal,
-    contains_generator,
     is_admissible_monomial,
     is_pregenerated_monomial,
     max_avoiding_length,
@@ -26,7 +25,8 @@ from quiverh1.quiver import Arrow, Quiver, connected_components, enumerate_paths
 from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
-    a2, a3, branch, cycle, fib_dag, kronecker, occurrences, path_of, random_connected_dag, random_minimal_ideal,
+    a2, a3, branch, contains_generator, cycle, fib_dag, kronecker, occurrences, path_of, random_connected_dag,
+    random_minimal_ideal,
 )
 
 

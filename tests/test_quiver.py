@@ -16,14 +16,14 @@ from quiverh1.quiver import (
     enumerate_paths,
     is_acyclic,
     is_narrow,
-    parallel_pairs,
     path_counts,
     trivial_path,
     validate,
 )
 
 from conftest import (
-    a2, a3, branch, crown_quiver, cycle, dp_path_count, fib_dag, kronecker, path_of, random_connected_dag,
+    a2, a3, branch, crown_quiver, cycle, dp_path_count, fib_dag, kronecker, parallel_pairs, path_of,
+    random_connected_dag,
 )
 
 
