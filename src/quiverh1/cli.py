@@ -19,7 +19,8 @@ File grammar (line-oriented, '#' starts a comment):
 Exit statuses: 0 success/agreement, 1 mismatch, 2 input error, 3 unsupported.
 When no formula applies to a presentation, ``check`` still prints the oracle's
 report, then the "formula unavailable" error, and exits 3 (or with the
-oracle's own error and status, when the oracle fails too).
+oracle's own error and status, when the oracle fails too).  On a poset,
+``check`` compares the oracle with dim H^1 of the order complex.
 Every file is run and reported; with several files the exit status is the
 worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 """
@@ -27,6 +28,7 @@ worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -295,6 +297,12 @@ def run_oracle(doc: InputDocument, prime: Optional[int] = None, max_dim: int = e
 
 
 def run_check(doc: InputDocument, prime: Optional[int] = None, max_dim: int = exactalg.DEFAULT_DEGREE2_GUARD) -> RunReport:
+    if doc.kind == "poset":  # the oracle against the simplicial H^1 of the order complex
+        report = run_oracle(doc, prime=prime, max_dim=max_dim)
+        t0 = time.perf_counter()
+        report.methods["simplicial"] = simplicial.simplicial_h_dim(simplicial.order_complex(doc.body), 1, prime)
+        report.elapsed += time.perf_counter() - t0
+        return report
     formula = run_formula(doc)
     oracle = run_oracle(doc, prime=prime, max_dim=max_dim)
     merged = RunReport(doc.name, oracle.field)
@@ -353,7 +361,9 @@ def _parse_field(spec: str) -> Optional[int]:
     raise ValueError(f"unknown field {spec!r} (use 'q' or 'fp:<prime>')")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="quiverh1",
         description="First Hochschild cohomology of quiver algebras: formulas and exact oracle.",
@@ -365,7 +375,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--max-dim", type=int, default=exactalg.DEFAULT_DEGREE2_GUARD,
                         help="raise the degree-2 oracle dimension guard")
     parser.add_argument("--per-component", action="store_true", help="print component breakdowns")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         prime = _parse_field(args.field)
@@ -393,8 +407,6 @@ def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
             try:
                 report = run_check(doc, prime=prime, max_dim=args.max_dim)
             except FormulaUnavailable:
-                if doc.kind != "quiver-presentation":
-                    raise
                 _print_report(run_oracle(doc, prime=prime, max_dim=args.max_dim), args.json, args.per_component)
                 raise
         else:

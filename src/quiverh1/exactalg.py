@@ -151,9 +151,15 @@ def kernel_dim(m: ExactMatrix, prime: Optional[int] = None) -> int:
 # --- bimodules ---------------------------------------------------------------
 
 
-def _then(a: dict, b: dict) -> dict:
-    """The index map 'apply a, then b'."""
-    return {m: b[n] for m, n in a.items() if n in b}
+def _composite_failures(ops, at: dict, table: dict) -> set:
+    """The pairs (i, j) where ops[j] then ops[i] differs from ops[table[(i, j)]] (absent:
+    zero), compared at each m with ops[j][m] = n, i in at[n], or m in ops[table[(i, j)]]."""
+    products = {ij: ops[k] for ij, k in table.items()}
+    bad = {(i, j) for j, op in enumerate(ops) for m, n in op.items() for i in at.get(n, ())
+           if ops[i][n] != products.get((i, j), {}).get(m)}
+    bad.update(ij for ij, op in products.items() for m, n in op.items()
+               if ops[ij[0]].get(ops[ij[1]].get(m)) != n)
+    return bad
 
 
 def _combo(ops, combo: Combo) -> dict:
@@ -181,34 +187,33 @@ class BimoduleRep:
     def validate(self) -> "BimoduleRep":
         """Assert both actions are homomorphisms that commute and the unit acts as 1.
 
-        A test at (i, j) compares left/right[k] (b_i b_j = b_k, else {}) or composites
-        of two index maps, nonempty only where an image of the first meets the domain
-        of the second.  So a test can fail only on a pair in the table, or on (i, b) or
-        (b, j) where an image of left[b] or right[b] lies in the domain of left[i] or
-        right[j]; elsewhere every side is {}.  Visiting those pairs in lexicographic
-        order reports the first failure of the loop over all d^2 pairs."""
+        Each test at a pair (i, j) compares two index maps entry by entry, so it is
+        a statement about the triples (i, j, m): b_i.(b_j.x_m) = (b_i b_j).x_m
+        (left), (x_m.b_i).b_j = x_m.(b_i b_j) (right) and b_i.(x_m.b_j) =
+        (b_i.x_m).b_j (commute).  A side is nonzero only on a triple found from the
+        table (b_i b_j = b_k and m in the domain of left[k] or right[k]) or from the
+        inverted domain indexes (an image n of one map in the domain of the other);
+        on every other triple both sides are zero.  Only those triples are compared,
+        and the least failing (i, j, test), left before right before commute, is the
+        first failure of the loop over all d^2 pairs."""
         alg = self.algebra
-        d = alg.dimension
         left_at: dict[int, list[int]] = {}  # n -> every b with n in the domain of left[b]
         right_at: dict[int, list[int]] = {}  # likewise for right[b]
         for at, ops in ((left_at, self.left), (right_at, self.right)):
             for b, op in enumerate(ops):
                 for n in op:
                     at.setdefault(n, []).append(b)
-        pairs = set(alg.table)
-        for b in range(d):
-            for n in set(self.left[b].values()) | set(self.right[b].values()):
-                pairs.update((i, b) for i in left_at.get(n, ()))
-                pairs.update((b, j) for j in right_at.get(n, ()))
-        for i, j in sorted(pairs):
-            k = alg.table.get((i, j))  # b_i b_j = b_k, or zero
-            left_k, right_k = (self.left[k], self.right[k]) if k is not None else ({}, {})
-            if _then(self.left[j], self.left[i]) != left_k:
-                raise AssertionError(f"left action is not a homomorphism at ({i}, {j})")
-            if _then(self.right[i], self.right[j]) != right_k:
-                raise AssertionError(f"right action fails at ({i}, {j})")
-            if _then(self.right[j], self.left[i]) != _then(self.left[i], self.right[j]):
-                raise AssertionError(f"actions do not commute at ({i}, {j})")
+        left, right = self.left, self.right
+        failures = [(i, j, 0) for i, j in _composite_failures(left, left_at, alg.table)]
+        failures += [(i, j, 1) for j, i in _composite_failures(right, right_at, alg.opposite().table)]
+        failures += [(i, j, 2) for j, op in enumerate(right) for m, n in op.items() for i in left_at.get(n, ())
+                     if left[i][n] != right[j].get(left[i].get(m))]
+        failures += [(i, j, 2) for i, op in enumerate(left) for m, n in op.items() for j in right_at.get(n, ())
+                     if left[i].get(right[j].get(m)) != right[j][n]]
+        if failures:
+            i, j, test = min(failures)
+            raise AssertionError(("left action is not a homomorphism at ({}, {})", "right action fails at ({}, {})",
+                                  "actions do not commute at ({}, {})")[test].format(i, j))
         ident = {(m, m): 1 for m in range(self.dim)}
         if _combo(self.left, alg.unit) != ident or _combo(self.right, alg.unit) != ident:
             raise AssertionError("unit does not act as identity")

@@ -28,6 +28,7 @@ from .presentations import (
     basis_B,
     build_algebra,
     is_pregenerated_monomial,
+    require_finite,
     truncated_is_pregenerated,
 )
 from .quiver import (
@@ -228,7 +229,8 @@ def h1_bound_monomial(quiver: Quiver, Z: MonomialIdeal) -> int:
 
 
 def classify_and_compute(presentation: AlgebraPresentation) -> H1Report:
-    """Select the applicable closed formula, preferring purely combinatorial ones."""
+    """Select the applicable closed formula, preferring purely combinatorial ones; an
+    infinite basis raises InfiniteBasis before the pre-generated row is tried."""
     q = presentation.quiver
     kind = presentation.kind
     acyclic = is_acyclic(q)
@@ -238,6 +240,7 @@ def classify_and_compute(presentation: AlgebraPresentation) -> H1Report:
         return h1_truncated_acyclic(q, presentation.scheme.m)
     if kind == "monomial" and acyclic:
         return h1_monomial_acyclic(q, presentation.scheme)
+    require_finite(presentation)
     try:
         return h1_pregenerated(presentation)
     except NotApplicable:

@@ -172,14 +172,22 @@ def is_admissible_monomial(quiver: Quiver, Z: MonomialIdeal) -> bool:
     return max_avoiding_length(quiver, Z) is not None
 
 
+def require_finite(presentation: AlgebraPresentation) -> None:
+    """Raise InfiniteBasis when a cyclic quiver has no relations or a non-admissible ideal."""
+    q, kind = presentation.quiver, presentation.kind
+    if kind == "none" and not is_acyclic(q):
+        raise InfiniteBasis("infinite dimensional: path algebra of a cyclic quiver")
+    if kind == "monomial" and not is_admissible_monomial(q, presentation.scheme):
+        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
+
+
 def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     """All paths (including trivial ones) avoiding every generator, sorted.
 
     One depth-first search extends a path only while no generator is a suffix
     of it; every prefix of an avoiding path avoids Z, so all of them are reached.
     """
-    if not is_admissible_monomial(quiver, Z):
-        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
+    require_finite(AlgebraPresentation(quiver, Z))
     result: list[Path] = []
     stack = [Path(v) for v in quiver.vertices]
     while stack:
@@ -299,41 +307,50 @@ class StructureConstantAlgebra:
     def check(self) -> "StructureConstantAlgebra":
         """Assert associativity on all basis triples and the unit/idempotent axioms.
 
-        Only triples where a product can be nonzero are visited.  With the
-        table grouped into rows (rows[i][j] = k for b_i b_j = b_k),
-        (b_i b_j) b_k is zero unless k is in rows[l] for l = rows[i][j], and
-        b_i (b_j b_k) is zero unless k is in rows[j].  On every other triple
-        both sides are zero and associativity holds, so this tests the same
-        property as the loop over all d^3 triples, and visiting in
-        lexicographic order reports the same first failure.
+        Work is in proportion to the triples where a side is nonzero.  With the
+        table grouped into rows (rows[i][j] = k for b_i b_j = b_k) and factors
+        (factors[m] = every (j, k) with b_j b_k = b_m), (b_i b_j) b_k is nonzero
+        only for j in rows[i] and k in rows[rows[i][j]], and b_i (b_j b_k) only
+        for (j, k) in factors[m] with m in rows[i].  On every other triple both
+        sides are zero, so comparing these tests the same property as the loop
+        over all d^3 triples, and the lexicographically least failing triple is
+        the one that loop reports first.  The unit and orthogonality axioms read
+        the table and the rows too, not d products or |Q0|^2 pairs.
         """
-        d = self.dimension
         rows: dict[int, dict[int, int]] = {}
+        factors: dict[int, list[tuple[int, int]]] = {}
+        by_unit: tuple[dict, dict] = ({}, {})  # [0][j] = unit * b_j, [1][i] = b_i * unit, zeros kept
         for (i, j), k in self.table.items():
             rows.setdefault(i, {})[j] = k
+            factors.setdefault(k, []).append((i, j))
+            for side, b, u in ((by_unit[0], j, i), (by_unit[1], i, j)):
+                if u in self.unit:
+                    acc = side.setdefault(b, {})
+                    acc[k] = acc.get(k, 0) + self.unit[u]
         for i in sorted(rows):
             row_i = rows[i]
-            for j in range(d):
-                row_l = rows.get(row_i.get(j), {})  # b_i b_j = b_l, or zero
-                row_j = rows.get(j, {})
-                for k in sorted(row_l.keys() | row_j.keys()):
-                    if row_l.get(k) != row_i.get(row_j.get(k)):
-                        raise AssertionError(
-                            f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
-                        )
-        for i in range(d):
-            if self.multiply(self.unit, {i: 1}) != {i: 1} or self.multiply({i: 1}, self.unit) != {i: 1}:
+            triples = [(j, k) for j, l in row_i.items() for k in rows.get(l, ())]
+            triples += [jk for m in row_i for jk in factors.get(m, ())]
+            bad = [(j, k) for j, k in triples
+                   if rows.get(row_i.get(j), {}).get(k) != row_i.get(rows.get(j, {}).get(k))]
+            if bad:
+                j, k = min(bad)
+                raise AssertionError(f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})")
+        for i in range(self.dimension):
+            if any({k: c for k, c in side.get(i, {}).items() if c} != {i: 1} for side in by_unit):
                 raise AssertionError(f"unit failure at {self.basis[i]}")
         idems = list(self.vertex_idempotents.items())
         total: Combo = {}
-        for v, i in idems:
+        positions: dict[int, list[int]] = {}  # basis index -> positions in idems
+        for p, (v, i) in enumerate(idems):
             if self.table.get((i, i)) != i:
                 raise AssertionError(f"vertex element {v} is not idempotent")
             total[i] = total.get(i, 0) + 1
-        for (v, i) in idems:
-            for (w, j) in idems:
-                if v != w and (i, j) in self.table:
-                    raise AssertionError(f"idempotents {v}, {w} are not orthogonal")
+            positions.setdefault(i, []).append(p)
+        for p, (v, i) in enumerate(idems):
+            others = [q for j in rows.get(i, ()) for q in positions.get(j, ()) if q != p]
+            if others:
+                raise AssertionError(f"idempotents {v}, {idems[min(others)][0]} are not orthogonal")
         if total != self.unit:
             raise AssertionError("vertex idempotents do not sum to the unit")
         return self
@@ -364,8 +381,7 @@ def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra
         return incidence_algebra(presentation.scheme)
     validate(q)
     if kind == "none":
-        if not is_acyclic(q):
-            raise InfiniteBasis("infinite dimensional: path algebra of a cyclic quiver")
+        require_finite(presentation)
         paths = enumerate_paths(q)
     elif kind == "monomial":
         paths = basis_B(q, presentation.scheme)

@@ -131,7 +131,7 @@ def test_main_exit_codes(tmp_path, capsys):
     cyclic.write_text(
         "quiver c\nvertex x\nvertex y\narrow a x y\narrow b y x\nend\n"
     )
-    assert main(["formula", str(cyclic)]) == EXIT_UNSUPPORTED
+    assert main(["formula", str(cyclic)]) == EXIT_INPUT
     capsys.readouterr()
 
 
@@ -202,7 +202,7 @@ def test_main_cyclic_formula_statuses(tmp_path, capsys):
         f = tmp_path / f"{name}.quiver"
         f.write_text(f"quiver {name}\nvertex x\nvertex y\nvertex z\n{body}end\n")
         status[name] = main(["formula", str(f)])
-    assert status == {"nonadmissible": EXIT_UNSUPPORTED, "norelations": EXIT_UNSUPPORTED,
+    assert status == {"nonadmissible": EXIT_INPUT, "norelations": EXIT_INPUT,
                       "pregenerated": EXIT_OK}
     capsys.readouterr()
 
@@ -232,10 +232,18 @@ def test_main_runs_every_file_and_exits_with_the_worst_status(tmp_path, capsys):
     assert (first["name"], second["name"]) == ("kronecker2", "cycle3-trunc2")
     assert captured.err == f"error: {bad}: line 1: expected 'quiver <name>' or 'poset <name>'\n"
 
-    # input error 2 outranks unsupported 3, in either order
+    # an infinite basis is an input error under formula too
     assert main(["formula", str(cyclic), str(bad)]) == EXIT_INPUT
     assert main(["formula", str(bad), str(cyclic)]) == EXIT_INPUT
-    assert main(["formula", good, str(cyclic)]) == EXIT_UNSUPPORTED
+    assert main(["formula", good, str(cyclic)]) == EXIT_INPUT
+    assert capsys.readouterr().err.count("error: ") == 5
+
+    # input error 2 outranks unsupported 3, in either order
+    square = tmp_path / "square.quiver"  # k[x]/(x^2): no formula applies
+    square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
+    assert main(["formula", good, str(square)]) == EXIT_UNSUPPORTED
+    assert main(["formula", str(square), str(bad)]) == EXIT_INPUT
+    assert main(["formula", str(bad), str(square)]) == EXIT_INPUT
     assert capsys.readouterr().err.count("error: ") == 5
 
 
@@ -289,8 +297,27 @@ def test_check_runs_the_oracle_when_no_formula_applies(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: {cyclic}: infinite dimensional: path algebra of a cyclic quiver\n"
 
-    assert main(["check", str(FIXTURE_DIR / "crown.poset")]) == EXIT_UNSUPPORTED  # not a presentation
-    assert capsys.readouterr().out == ""
+    assert main(["check", str(FIXTURE_DIR / "crown.poset")]) == EXIT_OK  # the oracle against the order complex
+    assert "dim H1 [simplicial]: 1" in capsys.readouterr().out
+
+
+def test_check_on_a_poset_compares_the_oracle_with_the_order_complex(capsys, monkeypatch):
+    from quiverh1 import simplicial
+
+    for name, dim in (("crown", 1), ("diamond-printed", 0)):  # as `poset` answers
+        for field in ("q", "fp:3"):
+            path = str(FIXTURE_DIR / f"{name}.poset")
+            assert main(["check", "--json", "--field", field, path]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert (report["method"], report["dim_h1"], report["field"]) == ("oracle,simplicial", dim, field)
+            assert set(report["intermediates"]) == {"dim_algebra", "dim_derivations", "dim_inner"}
+            assert report["checks"]["bar_h1"] == dim and report["checks"]["agree"] is True
+            assert main(["poset", "--json", "--field", field, path]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["dim_h1"] == dim
+    real = simplicial.simplicial_h_dim
+    monkeypatch.setattr(simplicial, "simplicial_h_dim", lambda *a: real(*a) + 1)
+    assert main(["check", str(FIXTURE_DIR / "crown.poset")]) == EXIT_MISMATCH
+    assert "agreement: MISMATCH" in capsys.readouterr().out
 
 
 def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,13 +26,14 @@ from quiverh1.exactalg import (
 from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
+    StructureConstantAlgebra,
     TruncationIdeal,
     build_algebra,
 )
 from quiverh1.quiver import Arrow, Quiver, compose
 from quiverh1.simplicial import Poset, hasse_quiver, incidence_algebra
 
-from conftest import a2, a3, branch, cycle, kronecker, path_of, random_connected_dag, random_minimal_ideal
+from conftest import a2, a3, branch, cycle, fib_dag, kronecker, path_of, random_connected_dag, random_minimal_ideal
 from test_presentations import _outcome, _seeded_algebra
 
 
@@ -449,6 +451,23 @@ def test_validate_matches_the_pairwise_loop_on_thinned_actions(family, seed, kee
                    for ops in (rep.left, rep.right))
     bad = BimoduleRep(alg, rep.dim, tuple(left), tuple(right))
     assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)
+
+
+def test_verification_scales_with_the_nonzero_products():
+    """check() and validate() do work in proportion to the nonzero triples: k^20000 (the
+    loops over every basis element and every vertex pair take about 4e8 steps there) and
+    the Fib-DAG path algebra with d = 596 are each verified in seconds."""
+    d = 20000
+    semisimple_big = StructureConstantAlgebra(tuple(f"e{i}" for i in range(d)), {(i, i): i for i in range(d)},
+                                              {i: 1 for i in range(d)}, {f"v{i}": i for i in range(d)})
+    fib = build_algebra(AlgebraPresentation(fib_dag(11)))
+    assert fib.dimension == 596
+    for alg in (semisimple_big, fib):
+        start = time.perf_counter()
+        alg.check()
+        rep = regular_bimodule(alg)
+        assert rep.dim == alg.dimension
+        assert time.perf_counter() - start < 20
 
 
 # --- products read off the path basis against composing every pair -------------

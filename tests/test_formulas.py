@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverh1.errors import FormulaUnavailable, NotApplicable
+from quiverh1.errors import FormulaUnavailable, InfiniteBasis, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, quotient_bimodule, regular_bimodule
 from quiverh1.formulas import (
     CoupleClassification,
@@ -249,8 +249,24 @@ def test_classify_and_compute_dispatch():
         AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")]))
     ).method == "monomial_acyclic"
     assert classify_and_compute(AlgebraPresentation(branch(), TruncationIdeal(2))).method == "truncated_acyclic"
-    with pytest.raises(FormulaUnavailable):
+    with pytest.raises(InfiniteBasis, match="infinite dimensional: path algebra of a cyclic quiver"):
         classify_and_compute(AlgebraPresentation(cycle(3)))
+
+
+def test_formula_reports_an_infinite_basis_before_the_pregenerated_test(monkeypatch):
+    from quiverh1 import formulas
+
+    calls = []
+    real = formulas.is_pregenerated_monomial
+    monkeypatch.setattr(formulas, "is_pregenerated_monomial", lambda *a: calls.append(a) or real(*a))
+    two = Quiver(["x", "y"], [Arrow("a", "x", "y"), Arrow("b", "y", "x"), Arrow("d", "x", "x")])
+    for pres in (AlgebraPresentation(cycle(3)), AlgebraPresentation(two, MonomialIdeal([path_of(two, "a", "b")]))):
+        with pytest.raises(InfiniteBasis) as built:
+            build_algebra(pres)
+        with pytest.raises(InfiniteBasis) as formula:
+            classify_and_compute(pres)
+        assert str(formula.value) == str(built.value)
+    assert calls == []
 
 
 def test_formulas_match_oracle_on_fixed_examples():

@@ -351,6 +351,48 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, m
     assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence"]),
+    seed=st.integers(0, 2**32 - 1),
+    part=st.sampled_from(["unit", "vertex_idempotents"]),
+    mutation=st.sampled_from(["drop", "add", "redirect", "coefficient"]),
+    pick=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 2**32 - 1),
+    coefficient=st.integers(-2, 2),
+)
+def test_check_rejects_exactly_what_the_all_triples_loop_rejects_on_the_unit(family, seed, part, mutation, pick,
+                                                                             target, coefficient):
+    """The unit, idempotent and orthogonality axioms read off the rows fail where the
+    loops over every basis element and every pair of vertices fail, with the same message."""
+    alg = _seeded_algebra(family, seed)
+    d = alg.dimension
+    unit, idems = dict(alg.unit), dict(alg.vertex_idempotents)
+    if part == "unit":
+        key = sorted(unit)[pick % len(unit)]
+        if mutation == "drop":
+            del unit[key]
+        elif mutation == "add":  # a zero coefficient too
+            unit[target % d] = unit.get(target % d, 0) + coefficient
+        elif mutation == "redirect":
+            unit[target % d] = unit.pop(key)
+        else:
+            unit[key] = coefficient
+    else:
+        vertices = sorted(idems)
+        key = vertices[pick % len(vertices)]
+        if mutation == "drop":
+            del idems[key]
+        elif mutation == "add":
+            idems["extra"] = target % d
+        elif mutation == "redirect":
+            idems[key] = target % d
+        else:  # every vertex on one element
+            idems = dict.fromkeys(idems, idems[key])
+    bad = StructureConstantAlgebra(alg.basis, alg.table, unit, idems, alg.basis_paths)
+    assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
+
+
 def _reference_bound(q, Z):
     return None if is_acyclic(q) else max_avoiding_length(q, Z) + Z.max_generator_length
 
