@@ -351,14 +351,18 @@ def _print_report(report: RunReport, as_json: bool, per_component: bool) -> None
 def _parse_field(spec: str) -> Optional[int]:
     if spec == "q":
         return None
-    if spec.startswith("fp:"):
+    unknown = ValueError(f"unknown field {spec!r} (use 'q' or 'fp:<prime>')")
+    if not spec.startswith("fp:"):
+        raise unknown
+    try:
         p = int(spec[3:])
-        if p < 2:
-            raise ValueError("prime must be >= 2")
-        if not exactalg.is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        return p
-    raise ValueError(f"unknown field {spec!r} (use 'q' or 'fp:<prime>')")
+    except ValueError:
+        raise unknown from None
+    if p < 2:
+        raise ValueError("prime must be >= 2")
+    if not exactalg.is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 @functools.cache
@@ -393,9 +397,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
     """Run the command on one file, print its report or error, and return its status."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = parse(fh.read())
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

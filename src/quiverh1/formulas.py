@@ -22,13 +22,11 @@ from .exactalg import center_dim
 from .presentations import (
     AlgebraPresentation,
     MonomialIdeal,
-    StructureConstantAlgebra,
     TruncationIdeal,
     _generator_spans,
     basis_B,
     build_algebra,
     is_pregenerated_monomial,
-    require_finite,
     truncated_is_pregenerated,
 )
 from .quiver import (
@@ -169,22 +167,19 @@ def h1_path_algebra_acyclic(quiver: Quiver) -> H1Report:
     )
 
 
-def h1_pregenerated(presentation: AlgebraPresentation,
-                    algebra: Optional[StructureConstantAlgebra] = None) -> H1Report:
+def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals),
     i.e. the tensor-coefficients formula with X = A, X^T = Z(A) and X^E the diagonal
-    slices; the algebra is built from the presentation, when not given, once the
-    precondition holds."""
+    slices; the presentation's algebra is built once the precondition holds."""
     q, kind, scheme = presentation.quiver, presentation.kind, presentation.scheme
     if kind == "incidence":
         raise NotApplicable("pre-generated test is not defined for incidence presentations")
     if kind == "none" and not is_acyclic(q):
         raise NotApplicable("not pre-generated: zero ideal needs an acyclic quiver")
-    if (kind == "monomial" and not is_pregenerated_monomial(q, scheme)
+    if (kind == "monomial" and not is_pregenerated_monomial(presentation)
             or kind == "truncated" and not truncated_is_pregenerated(q, scheme.m)):
         raise NotApplicable("not pre-generated")
-    if algebra is None:
-        algebra = build_algebra(presentation)
+    algebra = build_algebra(presentation)
     data = slice_data_from_paths(q, algebra.basis_paths, center_dim(algebra))
     dim = h1_tensor_coefficients(q, data)
     return H1Report(
@@ -240,8 +235,8 @@ def classify_and_compute(presentation: AlgebraPresentation) -> H1Report:
         return h1_truncated_acyclic(q, presentation.scheme.m)
     if kind == "monomial" and acyclic:
         return h1_monomial_acyclic(q, presentation.scheme)
-    require_finite(presentation)
     try:
+        presentation.basis  # an infinite basis raises InfiniteBasis before any formula is tried
         return h1_pregenerated(presentation)
     except NotApplicable:
         raise FormulaUnavailable("formula unavailable, use oracle") from None

@@ -9,6 +9,7 @@ directly on the comparable-pair basis (see the simplicial module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:
@@ -16,13 +17,11 @@ if TYPE_CHECKING:
 
 from .errors import InfiniteBasis, InvalidIdeal, NotApplicable
 from .quiver import (
-    Arrow,
     Path,
     PathBasis,
     Quiver,
     VertexId,
     enumerate_paths,
-    is_acyclic,
     path_counts,
     validate,
 )
@@ -63,7 +62,8 @@ class AlgebraPresentation:
     """A quiver with one relation scheme, or a poset (incidence algebra).
 
     ``scheme`` is None (no relations), a MonomialIdeal, a TruncationIdeal, or a
-    simplicial.Poset; in the poset case ``quiver`` is the Hasse quiver.
+    simplicial.Poset; in the poset case ``quiver`` is the Hasse quiver.  Its basis
+    and its algebra are computed once, on first use.
     """
 
     quiver: Quiver
@@ -78,6 +78,31 @@ class AlgebraPresentation:
         if isinstance(self.scheme, TruncationIdeal):
             return "truncated"
         return "incidence"
+
+    @cached_property
+    def basis(self) -> PathBasis:
+        """The basis paths, found once; raises InfiniteBasis when there are infinitely many."""
+        q, kind = self.quiver, self.kind
+        if kind == "incidence":
+            raise NotApplicable("an incidence algebra has no path basis")
+        validate(q)
+        if kind == "monomial":
+            return PathBasis(basis_B(q, self.scheme))
+        if kind == "truncated":
+            return PathBasis(enumerate_paths(q, max_length=self.scheme.m - 1))
+        if not q.acyclic:
+            raise InfiniteBasis("infinite dimensional: path algebra of a cyclic quiver")
+        return PathBasis(enumerate_paths(q))
+
+    @cached_property
+    def algebra(self) -> StructureConstantAlgebra:
+        """Structure constants on the basis, verified by ``check()``, which visits only the
+        triples where a product can be nonzero; a poset gives its incidence algebra."""
+        if self.kind == "incidence":
+            from .simplicial import incidence_algebra
+
+            return incidence_algebra(self.scheme)
+        return _path_basis_algebra(self.basis).check()
 
 
 def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
@@ -103,95 +128,33 @@ def _generator_spans(names: tuple[str, ...], Z: MonomialIdeal) -> list[tuple[int
             if names[i : i + n] in Z.names]
 
 
-# --- avoidance automaton -----------------------------------------------------
-#
-# States are (vertex, window of the last max_len-1 arrow names).  A transition
-# is blocked when it would complete a generator occurrence ending at the new
-# arrow.  The set of Z-avoiding paths is finite iff the reachable state graph
-# has no directed cycle.
-
-_State = tuple[VertexId, tuple[str, ...]]
-
-
-def _automaton(quiver: Quiver, Z: MonomialIdeal):
-    keep = max(Z.max_generator_length - 1, 0)
-    out = quiver.successors
-
-    def step(state: _State, a: Arrow) -> Optional[_State]:
-        seq = state[1] + (a.name,)
-        if any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
-            return None
-        return (a.target, seq[-keep:] if keep else ())
-
-    edges: dict[_State, list[_State]] = {}
-    starts = [(v, ()) for v in quiver.vertices]
-    stack = list(starts)
-    while stack:
-        st = stack.pop()
-        if st in edges:
-            continue
-        succ = []
-        for a in out[st[0]]:
-            nxt = step(st, a)
-            if nxt is not None:
-                succ.append(nxt)
-        edges[st] = succ
-        stack.extend(s for s in succ if s not in edges)
-    return starts, edges
-
-
-def max_avoiding_length(quiver: Quiver, Z: MonomialIdeal) -> Optional[int]:
-    """Length of the longest Z-avoiding path, or None when avoiding paths are unbounded."""
-    starts, edges = _automaton(quiver, Z)
-    # Kahn's algorithm on the reachable state graph; leftover nodes mean a cycle.
-    indeg = {s: 0 for s in edges}
-    for succ in edges.values():
-        for n in succ:
-            indeg[n] += 1
-    order: list[_State] = [s for s in edges if indeg[s] == 0]
-    i = 0
-    while i < len(order):
-        for n in edges[order[i]]:
-            indeg[n] -= 1
-            if indeg[n] == 0:
-                order.append(n)
-        i += 1
-    if len(order) < len(edges):
-        return None
-    depth = {s: 0 for s in edges}
-    for s in reversed(order):
-        for n in edges[s]:
-            depth[s] = max(depth[s], 1 + depth[n])
-    return max((depth[s] for s in starts), default=0)
-
-
-def is_admissible_monomial(quiver: Quiver, Z: MonomialIdeal) -> bool:
-    """True iff the Z-avoiding path set is finite (F^n lands in the ideal for some n)."""
-    if is_acyclic(quiver):
-        return True
-    return max_avoiding_length(quiver, Z) is not None
-
-
-def require_finite(presentation: AlgebraPresentation) -> None:
-    """Raise InfiniteBasis when a cyclic quiver has no relations or a non-admissible ideal."""
-    q, kind = presentation.quiver, presentation.kind
-    if kind == "none" and not is_acyclic(q):
-        raise InfiniteBasis("infinite dimensional: path algebra of a cyclic quiver")
-    if kind == "monomial" and not is_admissible_monomial(q, presentation.scheme):
-        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
+_State = tuple[VertexId, tuple[str, ...]]  # a path's target and last (longest generator - 1) arrow names
 
 
 def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
-    """All paths (including trivial ones) avoiding every generator, sorted.
+    """All paths (including trivial ones) avoiding every generator, sorted; raises
+    InfiniteBasis when there are infinitely many.
 
     One depth-first search extends a path only while no generator is a suffix
     of it; every prefix of an avoiding path avoids Z, so all of them are reached.
+    Whether an arrow may follow a path depends only on the path's state: its
+    target and its last (longest generator - 1) arrow names.  A branch that
+    comes back to a state it has passed through can repeat that stretch for
+    ever, and the search raises there.  On an acyclic quiver no branch can.
     """
-    require_finite(AlgebraPresentation(quiver, Z))
+    keep = max(Z.max_generator_length - 1, 0)
+    branch: dict[_State, None] = {}  # states of the visited path's proper prefixes, in order
     result: list[Path] = []
     stack = [Path(v) for v in quiver.vertices]
     while stack:
         p = stack.pop()
+        if not quiver.acyclic:
+            while len(branch) > p.length:
+                branch.popitem()
+            state = (p.target, p.arrow_names()[max(p.length - keep, 0):])
+            if state in branch:
+                raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
+            branch[state] = None
         result.append(p)
         for a in quiver.successors[p.target]:
             seq = p.arrow_names() + (a.name,)
@@ -201,22 +164,19 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     return result
 
 
-def _slice_table(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], tuple[int, int, int]]:
-    """(x, y) -> (dim yIx, dim y(FI+IF)x, dim y(kQ)x), from one path enumeration.
+def _slice_table(presentation: AlgebraPresentation) -> dict[tuple[VertexId, VertexId], tuple[int, int, int]]:
+    """(x, y) -> (dim yIx, dim y(FI+IF)x, dim y(kQ)x) for a monomial presentation, from one
+    path enumeration.
 
     A path lies in FI+IF when some generator occurrence in it is not the whole
-    path.  On a cyclic-but-admissible quiver the counts stop at the admissibility
-    bound, under which all avoiding paths and generators fit; this still decides
-    the pre-generated alternative.
+    path.  On a cyclic-but-admissible quiver the counts stop at the longest basis
+    path plus the longest generator, under which all basis paths and generators
+    fit; this still decides the pre-generated alternative.
     """
-    bound = None  # acyclic: every path
-    if not is_acyclic(quiver):
-        longest = max_avoiding_length(quiver, Z)
-        if longest is None:
-            raise NotApplicable("pre-generated test requires an admissible ideal")
-        bound = longest + Z.max_generator_length
+    q, Z = presentation.quiver, presentation.scheme
+    bound = None if q.acyclic else presentation.basis[-1].length + Z.max_generator_length
     table: dict[tuple[VertexId, VertexId], tuple[int, int, int]] = {}
-    for p in enumerate_paths(quiver, max_length=bound):
+    for p in enumerate_paths(q, max_length=bound):
         spans = _generator_spans(p.arrow_names(), Z)
         dim_I, dim_FIIF, dim_total = table.get((p.source, p.target), (0, 0, 0))
         table[(p.source, p.target)] = (
@@ -227,18 +187,17 @@ def _slice_table(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, Verte
     return table
 
 
-def slice_ideal_dims(
-    quiver: Quiver, Z: MonomialIdeal, x: VertexId, y: VertexId
-) -> tuple[int, int, int]:
-    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x), counted on paths from x to y."""
-    return _slice_table(quiver, Z).get((x, y), (0, 0, 0))
+def slice_ideal_dims(presentation: AlgebraPresentation, x: VertexId, y: VertexId) -> tuple[int, int, int]:
+    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x) of a monomial presentation, counted on paths
+    from x to y."""
+    return _slice_table(presentation).get((x, y), (0, 0, 0))
 
 
-def is_pregenerated_monomial(quiver: Quiver, Z: MonomialIdeal) -> bool:
-    """Each vertex-pair slice of the ideal is full or equals the FI+IF slice;
-    raises NotApplicable when the ideal is not admissible."""
+def is_pregenerated_monomial(presentation: AlgebraPresentation) -> bool:
+    """Each vertex-pair slice of the monomial ideal is full or equals the FI+IF slice;
+    raises InfiniteBasis when the ideal is not admissible."""
     return all(dim_I in (dim_total, dim_FIIF) for dim_I, dim_FIIF, dim_total in
-               _slice_table(quiver, Z).values())
+               _slice_table(presentation).values())
 
 
 def truncated_is_pregenerated(quiver: Quiver, m: int) -> bool:
@@ -280,23 +239,6 @@ class StructureConstantAlgebra:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def multiply(self, u: Combo, v: Combo) -> Combo:
-        out: Combo = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                k = self.table.get((i, j))
-                if k is not None:
-                    c = out.get(k, 0) + ci * cj
-                    if c:
-                        out[k] = c
-                    else:
-                        out.pop(k, None)
-        return out
-
-    def product_basis(self, i: int, j: int) -> Combo:
-        k = self.table.get((i, j))
-        return {} if k is None else {k: 1}
 
     def opposite(self) -> "StructureConstantAlgebra":
         op_table = {(j, i): k for (i, j), k in self.table.items()}
@@ -371,20 +313,5 @@ def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:
 
 
 def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra:
-    """Materialize the presentation as structure constants on its path basis and verify
-    them with ``check()``, which visits only the triples where a product can be nonzero."""
-    kind = presentation.kind
-    q = presentation.quiver
-    if kind == "incidence":
-        from .simplicial import incidence_algebra
-
-        return incidence_algebra(presentation.scheme)
-    validate(q)
-    if kind == "none":
-        require_finite(presentation)
-        paths = enumerate_paths(q)
-    elif kind == "monomial":
-        paths = basis_B(q, presentation.scheme)
-    else:  # truncated
-        paths = enumerate_paths(q, max_length=presentation.scheme.m - 1)
-    return _path_basis_algebra(paths).check()
+    """The presentation's algebra, built and verified by ``check()`` once per presentation."""
+    return presentation.algebra

@@ -1,9 +1,10 @@
 import random
 from pathlib import Path as FsPath
+from typing import Optional
 
 import pytest
 
-from quiverh1.quiver import Arrow, ParallelPair, Path, Quiver, arrow_path, connected_components, trivial_path
+from quiverh1.quiver import Arrow, ParallelPair, Path, Quiver, VertexId, arrow_path, connected_components, trivial_path
 from quiverh1.presentations import MonomialIdeal, _generator_spans, basis_B, check_minimal
 
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
@@ -117,6 +118,89 @@ def substitutions(gamma: Path, a: Arrow, e: Path) -> list[Path]:
 
 def arrows_from(quiver: Quiver, v: str) -> list[Arrow]:
     return [a for a in quiver.arrows if a.source == v]
+
+
+def multiply(alg, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    """The product of two sparse combinations of basis elements of a structure-constant algebra."""
+    out: dict[int, int] = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            k = alg.table.get((i, j))
+            if k is not None:
+                c = out.get(k, 0) + ci * cj
+                if c:
+                    out[k] = c
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def product_basis(alg, i: int, j: int) -> dict[int, int]:
+    """b_i * b_j as a sparse combination: {k: 1}, or {} when it is zero."""
+    k = alg.table.get((i, j))
+    return {} if k is None else {k: 1}
+
+
+# --- the avoidance automaton that basis_B's cycle detection replaced ----------
+#
+# States are (vertex, window of the last max_len-1 arrow names).  A transition
+# is blocked when it would complete a generator occurrence ending at the new
+# arrow.  The set of Z-avoiding paths is finite iff the reachable state graph
+# has no directed cycle.
+
+_State = tuple[VertexId, tuple[str, ...]]
+
+
+def _automaton(quiver: Quiver, Z: MonomialIdeal):
+    keep = max(Z.max_generator_length - 1, 0)
+    out = quiver.successors
+
+    def step(state: _State, a: Arrow) -> Optional[_State]:
+        seq = state[1] + (a.name,)
+        if any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
+            return None
+        return (a.target, seq[-keep:] if keep else ())
+
+    edges: dict[_State, list[_State]] = {}
+    starts = [(v, ()) for v in quiver.vertices]
+    stack = list(starts)
+    while stack:
+        st = stack.pop()
+        if st in edges:
+            continue
+        succ = []
+        for a in out[st[0]]:
+            nxt = step(st, a)
+            if nxt is not None:
+                succ.append(nxt)
+        edges[st] = succ
+        stack.extend(s for s in succ if s not in edges)
+    return starts, edges
+
+
+def max_avoiding_length(quiver: Quiver, Z: MonomialIdeal) -> Optional[int]:
+    """Length of the longest Z-avoiding path, or None when avoiding paths are unbounded."""
+    starts, edges = _automaton(quiver, Z)
+    # Kahn's algorithm on the reachable state graph; leftover nodes mean a cycle.
+    indeg = {s: 0 for s in edges}
+    for succ in edges.values():
+        for n in succ:
+            indeg[n] += 1
+    order: list[_State] = [s for s in edges if indeg[s] == 0]
+    i = 0
+    while i < len(order):
+        for n in edges[order[i]]:
+            indeg[n] -= 1
+            if indeg[n] == 0:
+                order.append(n)
+        i += 1
+    if len(order) < len(edges):
+        return None
+    depth = {s: 0 for s in edges}
+    for s in reversed(order):
+        for n in edges[s]:
+            depth[s] = max(depth[s], 1 + depth[n])
+    return max((depth[s] for s in starts), default=0)
 
 
 def dp_path_count(quiver: Quiver) -> int:

@@ -1,7 +1,10 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FsPath
 
 import pytest
@@ -174,6 +177,31 @@ def test_main_accepts_prime_moduli(capsys):
         assert payload["dim_h1"] == 3
 
 
+def test_main_names_a_field_that_is_not_a_number(capsys):
+    fx = str(FIXTURE_DIR)
+    for spec in ("fp:abc", "fp:", "fp:3.0", "nonsense"):
+        assert main(["oracle", "--field", spec, f"{fx}/kronecker2.quiver"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: unknown field '{spec}' (use 'q' or 'fp:<prime>')\n")
+
+
+def test_main_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.quiver"
+    bad.write_bytes(b"quiver q\nvertex x\n\xff\xfe end\n")
+    message = f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"
+    assert main(["formula", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", message)
+    # with several files every one is run, and the worst status wins
+    good = str(FIXTURE_DIR / "kronecker2.quiver")
+    square = tmp_path / "square.quiver"  # k[x]/(x^2): no formula applies
+    square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
+    assert main(["formula", "--json", good, str(bad), str(square)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["name"] == "kronecker2"
+    assert captured.err == message + f"error: {square}: formula unavailable, use oracle\n"
+    assert main(["check", str(square), str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(message)
+
+
 def test_main_missing_file(capsys):
     assert main(["oracle", "/no/such/file.quiver"]) == EXIT_INPUT
     capsys.readouterr()
@@ -338,3 +366,57 @@ def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):
         outputs.add((cli.returncode, cli.stderr, direct.stderr.strip().splitlines()[-1]))
     assert outputs == {(EXIT_INPUT, f"error: {doc}: line 7: antisymmetry violation: 'a' <= 'b' <= 'a'\n",
                         "quiverh1.errors.InvalidPoset: transitivity violation: 'a' <= 'b' <= 'c'")}
+
+
+def test_a_presentation_is_analysed_once(monkeypatch, capsys):
+    """A pre-generated cyclic monomial document runs the avoidance search once, and check
+    builds and verifies one algebra, which the formula and the oracle share."""
+    from quiverh1 import presentations
+    from quiverh1.presentations import StructureConstantAlgebra, build_algebra
+
+    calls = []
+    for owner, name in ((presentations, "basis_B"), (StructureConstantAlgebra, "check")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    path = str(FIXTURE_DIR / "cycle3-monomial.quiver")
+    for command in ("formula", "check"):
+        calls.clear()
+        assert main([command, path]) == EXIT_OK
+        assert calls == ["basis_B", "check"]
+    capsys.readouterr()
+    pres = parse(fixture_text("cycle3-monomial.quiver")).body
+    assert build_algebra(pres) is build_algebra(pres)
+
+
+GOLDEN = FsPath(__file__).resolve().parent / "golden" / "cli_outputs.json"
+
+
+def cli_outputs() -> dict:
+    """stdout, stderr and exit status of formula, oracle and check (and poset on posets)
+    with --json over q and fp:3 on every file in fixtures/, with the run time removed;
+    keyed "<command> <field> <file>".  Runs from the repository root."""
+    outputs = {}
+    for path in sorted(FIXTURE_DIR.iterdir()):
+        commands = ("formula", "oracle", "check") + (("poset",) if path.suffix == ".poset" else ())
+        for command in commands:
+            for field in ("q", "fp:3"):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = main([command, "--json", "--field", field, f"fixtures/{path.name}"])
+                outputs[f"{command} {field} {path.name}"] = {
+                    "stdout": re.sub(r'"elapsed_s": [^\n]*', '"elapsed_s"', out.getvalue()),
+                    "stderr": err.getvalue(),
+                    "status": status,
+                }
+    return outputs
+
+
+def test_cli_outputs_match_the_golden_file(monkeypatch):
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    assert cli_outputs() == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":  # rewrite the golden file: PYTHONPATH=src python tests/test_cli.py
+    os.chdir(FIXTURE_DIR.parent)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cli_outputs(), indent=1, sort_keys=True) + "\n")

@@ -14,19 +14,17 @@ from quiverh1.presentations import (
     basis_B,
     build_algebra,
     check_minimal,
-    is_admissible_monomial,
     is_pregenerated_monomial,
-    max_avoiding_length,
     slice_ideal_dims,
     truncated_is_pregenerated,
     truncation_generators,
 )
-from quiverh1.quiver import Arrow, Quiver, connected_components, enumerate_paths, is_acyclic
+from quiverh1.quiver import Arrow, Path, Quiver, connected_components, enumerate_paths, is_acyclic
 from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
-    a2, a3, branch, contains_generator, cycle, fib_dag, kronecker, occurrences, path_of, random_connected_dag,
-    random_minimal_ideal,
+    a2, a3, branch, contains_generator, cycle, fib_dag, kronecker, max_avoiding_length, multiply, occurrences,
+    path_of, product_basis, random_connected_dag, random_minimal_ideal,
 )
 
 
@@ -102,29 +100,31 @@ def test_basis_avoids_generators():
 
 def test_admissibility():
     c3 = cycle(3)
-    assert is_admissible_monomial(c3, truncation_generators(c3, 2))
-    assert not is_admissible_monomial(c3, MonomialIdeal([]))
-    assert is_admissible_monomial(a3(), MonomialIdeal([]))
+    assert basis_B(c3, truncation_generators(c3, 2))
+    with pytest.raises(InfiniteBasis):
+        basis_B(c3, MonomialIdeal([]))
+    assert basis_B(a3(), MonomialIdeal([]))[-1].length == 2
 
 
 def test_max_avoiding_length():
     c3 = cycle(3)
-    assert max_avoiding_length(c3, truncation_generators(c3, 2)) == 1
-    assert max_avoiding_length(c3, MonomialIdeal([])) is None
+    assert basis_B(c3, truncation_generators(c3, 2))[-1].length == 1
+    with pytest.raises(InfiniteBasis, match="infinite basis: quiver is cyclic and the ideal is not admissible"):
+        basis_B(c3, MonomialIdeal([]))
 
 
 def test_slice_dims_a3():
     q = a3()
     Z = MonomialIdeal([path_of(q, "a", "b")])
-    assert slice_ideal_dims(q, Z, "x", "z") == (1, 0, 1)
-    assert slice_ideal_dims(q, Z, "z", "x") == (0, 0, 0)
+    assert slice_ideal_dims(AlgebraPresentation(q, Z), "x", "z") == (1, 0, 1)
+    assert slice_ideal_dims(AlgebraPresentation(q, Z), "z", "x") == (0, 0, 0)
 
 
 def test_slice_dims_line4():
     q = line4()
     Z = MonomialIdeal([path_of(q, "a", "b")])
     # the path a*b*c contains a*b, which does not end at the last arrow
-    assert slice_ideal_dims(q, Z, "v1", "v4") == (1, 1, 1)
+    assert slice_ideal_dims(AlgebraPresentation(q, Z), "v1", "v4") == (1, 1, 1)
 
 
 def test_slice_dims_monotone():
@@ -134,20 +134,20 @@ def test_slice_dims_monotone():
         Z = random_minimal_ideal(rng, q)
         for x in q.vertices:
             for y in q.vertices:
-                dI, dF, dT = slice_ideal_dims(q, Z, x, y)
+                dI, dF, dT = slice_ideal_dims(AlgebraPresentation(q, Z), x, y)
                 assert dF <= dI <= dT
 
 
 def test_pregenerated_examples():
     q = a3()
-    assert is_pregenerated_monomial(q, MonomialIdeal([path_of(q, "a", "b")]))
+    assert is_pregenerated_monomial(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")])))
     shortcut = Quiver(
         ["v1", "v2", "v3"],
         [Arrow("a", "v1", "v2"), Arrow("b", "v2", "v3"), Arrow("c", "v1", "v3")],
     )
-    assert not is_pregenerated_monomial(shortcut, MonomialIdeal([path_of(shortcut, "a", "b")]))
+    assert not is_pregenerated_monomial(AlgebraPresentation(shortcut, MonomialIdeal([path_of(shortcut, "a", "b")])))
     c3 = cycle(3)
-    assert is_pregenerated_monomial(c3, truncation_generators(c3, 2))
+    assert is_pregenerated_monomial(AlgebraPresentation(c3, truncation_generators(c3, 2)))
 
 
 def _all_small_quivers(max_vertices=3, max_arrows=3):
@@ -188,9 +188,9 @@ def test_pregenerated_shortcut_agrees_exhaustively():
 
             for sub in combinations(length2, r):
                 Z = MonomialIdeal(sub)
-                if not is_admissible_monomial(q, Z):
+                if not is_acyclic(q) and max_avoiding_length(q, Z) is None:
                     continue
-                assert is_pregenerated_monomial(q, Z) == _shortcut_pregenerated(q, Z)
+                assert is_pregenerated_monomial(AlgebraPresentation(q, Z)) == _shortcut_pregenerated(q, Z)
                 checked += 1
     assert checked > 200
 
@@ -242,7 +242,7 @@ def test_build_algebra_dimensions():
     idx_arrows = [i for i, p in enumerate(alg.basis_paths) if p.length == 1]
     for i in idx_arrows:
         for j in idx_arrows:
-            assert alg.product_basis(i, j) == {}
+            assert product_basis(alg, i, j) == {}
 
 
 def test_build_algebra_monomial_matches_basis():
@@ -278,26 +278,26 @@ def reference_check(alg):
     d = alg.dimension
     for i in range(d):
         for j in range(d):
-            pij = alg.product_basis(i, j)
+            pij = product_basis(alg, i, j)
             for k in range(d):
-                left = alg.multiply(pij, {k: 1})
-                right = alg.multiply({i: 1}, alg.product_basis(j, k))
+                left = multiply(alg, pij, {k: 1})
+                right = multiply(alg, {i: 1}, product_basis(alg, j, k))
                 if left != right:
                     raise AssertionError(
                         f"associativity failure at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
                     )
     for i in range(d):
-        if alg.multiply(alg.unit, {i: 1}) != {i: 1} or alg.multiply({i: 1}, alg.unit) != {i: 1}:
+        if multiply(alg, alg.unit, {i: 1}) != {i: 1} or multiply(alg, {i: 1}, alg.unit) != {i: 1}:
             raise AssertionError(f"unit failure at {alg.basis[i]}")
     idems = list(alg.vertex_idempotents.items())
     total = {}
     for v, i in idems:
-        if alg.product_basis(i, i) != {i: 1}:
+        if product_basis(alg, i, i) != {i: 1}:
             raise AssertionError(f"vertex element {v} is not idempotent")
         total[i] = total.get(i, 0) + 1
     for (v, i) in idems:
         for (w, j) in idems:
-            if v != w and alg.product_basis(i, j):
+            if v != w and product_basis(alg, i, j):
                 raise AssertionError(f"idempotents {v}, {w} are not orthogonal")
     if total != alg.unit:
         raise AssertionError("vertex idempotents do not sum to the unit")
@@ -434,7 +434,7 @@ def test_slice_dims_match_per_pair_count(monomial_instances):
     for q, Z in _one_pass_instances(monomial_instances):
         for x in q.vertices:
             for y in q.vertices:
-                assert slice_ideal_dims(q, Z, x, y) == reference_slice_dims(q, Z, x, y)
+                assert slice_ideal_dims(AlgebraPresentation(q, Z), x, y) == reference_slice_dims(q, Z, x, y)
 
 
 def test_pregenerated_test_enumerates_paths_once(monkeypatch):
@@ -449,7 +449,7 @@ def test_pregenerated_test_enumerates_paths_once(monkeypatch):
         return enumerate_paths(*args, **kwargs)
 
     monkeypatch.setattr(presentations, "enumerate_paths", counted)
-    assert is_pregenerated_monomial(q, Z)
+    assert is_pregenerated_monomial(AlgebraPresentation(q, Z))
     assert len(calls) == 1
 
 
@@ -513,3 +513,88 @@ def test_truncated_is_pregenerated_matches_two_enumerations():
             assert truncated_is_pregenerated(q, m) == expected
             seen.add(expected)
     assert seen == {True, False}
+
+
+# --- basis_B's cycle detection against the avoidance automaton it replaced -----
+
+
+def ideal_of_walks(q: Quiver, walks) -> MonomialIdeal:
+    """The minimal ideal of the walks of length >= 2 among ``walks``; a walk (start, choices)
+    leaves each vertex by arrow choices[k] (modulo the arrows there), and one that contains
+    or lies in an earlier walk is dropped."""
+    chosen = []
+    for start, choices in walks:
+        p = Path(start)
+        for c in choices:
+            out = q.successors[p.target]
+            if out:
+                p = Path(p.source, p.arrows + (out[c % len(out)],))
+        if p.length >= 2 and not any(occurrences(p, z) or occurrences(z, p) for z in chosen):
+            chosen.append(p)
+    return check_minimal(q, chosen)
+
+
+def random_cyclic_instance(rng: random.Random):
+    """A quiver with <= 4 vertices and <= 5 arrows between random endpoints, and a minimal
+    ideal of random walks of length 2-4."""
+    verts = [f"v{i}" for i in range(rng.randint(1, 4))]
+    q = Quiver(verts, [Arrow(f"a{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(1, 5))])
+    walks = [(rng.choice(verts), [rng.randrange(5) for _ in range(rng.randint(2, 4))])
+             for _ in range(rng.randint(0, 8))]
+    return q, ideal_of_walks(q, walks)
+
+
+def basis_B_against_the_automaton(q, Z):
+    """basis_B raises InfiniteBasis exactly when the automaton's state graph has a cycle
+    (returns None); otherwise its longest path is the automaton's, it lists every avoiding
+    path, and it is returned."""
+    longest = max_avoiding_length(q, Z)
+    if longest is None:
+        with pytest.raises(InfiniteBasis, match="infinite basis: quiver is cyclic and the ideal is not admissible"):
+            basis_B(q, Z)
+        return None
+    B = basis_B(q, Z)
+    assert B[-1].length == longest
+    assert B == [p for p in enumerate_paths(q, max_length=longest) if not contains_generator(p, Z)]
+    return B
+
+
+def test_basis_B_decides_finiteness_as_the_automaton_does():
+    rng = random.Random(5)
+    finite = []
+    while len(finite) < 1500:
+        q, Z = random_cyclic_instance(rng)
+        if not is_acyclic(q):
+            finite.append(basis_B_against_the_automaton(q, Z) is not None)
+    assert 300 < sum(finite) < 1200  # both verdicts are well represented
+
+
+@st.composite
+def quiver_with_walks(draw):
+    """A quiver with <= 4 vertices and <= 5 arrows, and a minimal ideal of walks of length
+    2-4, each given by a start vertex and an arrow choice at every step."""
+    n = draw(st.integers(1, 4))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=5))
+    q = Quiver([f"v{i}" for i in range(n)], [Arrow(f"a{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(ends)])
+    choices = st.lists(st.integers(0, 4), min_size=2, max_size=4)
+    walks = draw(st.lists(st.tuples(st.sampled_from(q.vertices), choices), max_size=6))
+    return q, ideal_of_walks(q, walks)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(instance=quiver_with_walks())
+def test_basis_B_is_the_set_of_avoiding_paths_or_raises(instance):
+    """A finite basis holds every trivial path and is closed under exactly the arrow
+    extensions that end no generator; an infinite verdict is the automaton's."""
+    q, Z = instance
+    B = basis_B_against_the_automaton(q, Z)
+    if B is None:
+        return
+    B = set(B)
+    assert {Path(v) for v in q.vertices} <= B
+    for p in B:
+        assert not contains_generator(p, Z)
+        for a in q.successors[p.target]:
+            longer = Path(p.source, p.arrows + (a,))
+            assert (longer in B) == (not any(z.arrow_names() == longer.arrow_names()[-z.length:]
+                                             for z in Z.generators))
