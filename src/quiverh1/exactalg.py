@@ -15,7 +15,6 @@ integer elimination, so no rational number is ever formed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
@@ -27,35 +26,6 @@ from .quiver import PathBasis
 Row = dict  # column -> scalar
 
 DEFAULT_DEGREE2_GUARD = 12
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A rows x cols matrix with exact entries, stored as sparse rows."""
-
-    rows: int
-    cols: int
-    data: tuple
-
-    @classmethod
-    def from_rows(cls, rows: int, cols: int, data: Iterable[Row]) -> "ExactMatrix":
-        return cls(rows, cols, tuple(dict(r) for r in data))
-
-    @classmethod
-    def from_dense(cls, entries) -> "ExactMatrix":
-        """Build from a list of rows of integers; a non-integral entry raises ValueError."""
-        data = []
-        for row in entries:
-            data.append({j: v for j, v in enumerate(map(_integer, row)) if v})
-        cols = max((len(row) for row in entries), default=0)
-        return cls(len(entries), cols, tuple(data))
-
-
-def _integer(v) -> int:
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"matrix entries must be integers, got {v!r}") from None
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
@@ -89,7 +59,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rank_sparse(rows: Iterable[Row], prime: Optional[int] = None) -> int:
+def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
     """Rank of integer rows by sparse fraction-free elimination, over Q or GF(prime).
 
     Pivot rows are kept keyed by their leading (minimum) column, so reducing a
@@ -138,14 +108,6 @@ def _rank_sparse(rows: Iterable[Row], prime: Optional[int] = None) -> int:
                 else:
                     del row[pc]
     return len(pivots)
-
-
-def rank(m: ExactMatrix, prime: Optional[int] = None) -> int:
-    return _rank_sparse(m.data, prime=prime)
-
-
-def kernel_dim(m: ExactMatrix, prime: Optional[int] = None) -> int:
-    return m.cols - rank(m, prime=prime)
 
 
 # --- bimodules ---------------------------------------------------------------
@@ -281,7 +243,7 @@ def invariants_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
         for j, m in x.right[b].items():
             _add(by_row, m, j, -1)
         rows.extend(r for r in by_row.values() if r)
-    return x.dim - _rank_sparse(rows, prime=prime)
+    return x.dim - rank(rows, prime=prime)
 
 
 def center_dim(algebra: StructureConstantAlgebra, prime: Optional[int] = None) -> int:
@@ -311,7 +273,7 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
             for jj, m in rj.items():
                 _add(by_row, m, i * dx + jj, -1)
             rows.extend(r for r in by_row.values() if r)
-    return d * dx - _rank_sparse(rows, prime=prime)
+    return d * dx - rank(rows, prime=prime)
 
 
 def inner_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
@@ -389,7 +351,7 @@ def bar_cohomology_dims(
     # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1)), with dim C^n = d^n * dx
     ranks = {-1: 0}
     for m in sorted({m for n in degrees for m in (n - 1, n) if m >= 0}):
-        ranks[m] = _rank_sparse(_bar_coboundary_rows(x, m), prime=prime)
+        ranks[m] = rank(_bar_coboundary_rows(x, m), prime=prime)
     return {n: d**n * dx - ranks[n] - ranks[n - 1] for n in degrees}
 
 

@@ -3,7 +3,8 @@
 Covers: path algebras of acyclic quivers, monomial algebras with acyclic
 quiver (via the effective-couple count), truncated algebras, narrow quivers,
 pre-generated ideals, and the tensor-coefficients formula for bimodules over
-a path algebra.  A dispatcher picks the applicable formula for a presentation.
+a path algebra.  ``FORMULAS`` holds the dispatch rows in order; each takes a
+presentation and raises NotApplicable, with its reason, when its precondition fails.
 
 The classical upper bound printed for the monomial case is implemented as a
 LOWER bound: the diagonal couples are always non-effective, so the effective
@@ -15,16 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import NotApplicable, FormulaUnavailable
 from .exactalg import center_dim
 from .presentations import (
     AlgebraPresentation,
     MonomialIdeal,
-    TruncationIdeal,
     _generator_spans,
-    basis_B,
     build_algebra,
     is_pregenerated_monomial,
     truncated_is_pregenerated,
@@ -61,19 +60,19 @@ class H1Report:
     intermediates: dict = field(default_factory=dict)
 
 
-def effective_pairs(quiver: Quiver, Z: MonomialIdeal, B: list[Path]) -> CoupleClassification:
-    """Classify the couples (arrow a, basis path e parallel to a), in arrow order and then
-    basis order.  A couple is glued when e begins or ends with a, or a is a loop at the
-    trivial path e.  On an acyclic quiver the glued couples are exactly the diagonal (a, a):
-    a parallel path a*w or w*a with w nontrivial would make w a cycle, and a trivial path is
-    parallel to a loop only.  Any other couple is effective when replacing one occurrence of
-    a inside some generator by e gives a path that contains no generator; glued couples
-    count as non-effective and come first."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("cyclic quiver unsupported for effective-couple classification")
-    basis = PathBasis(B)
+def effective_pairs(presentation: AlgebraPresentation) -> CoupleClassification:
+    """Classify the couples (arrow a, basis path e parallel to a) of an acyclic monomial
+    presentation, in arrow order and then basis order.  A couple is glued when e begins or
+    ends with a, or a is a loop at the trivial path e.  On an acyclic quiver the glued
+    couples are exactly the diagonal (a, a): a parallel path a*w or w*a with w nontrivial
+    would make w a cycle, and a trivial path is parallel to a loop only.  Any other couple
+    is effective when replacing one occurrence of a inside some generator by e gives a path
+    that contains no generator; glued couples count as non-effective and come first."""
+    if presentation.kind != "monomial" or not presentation.quiver.acyclic:
+        raise NotApplicable("effective couples need a monomial ideal on an acyclic quiver")
+    Z, basis = presentation.scheme, presentation.basis
     pairs, glued, effective, non_effective = [], [], [], []
-    for a in quiver.arrows:
+    for a in presentation.quiver.arrows:
         for i in basis.between.get((a.source, a.target), ()):
             e = basis[i]
             pair = ParallelPair(arrow_path(a), e)
@@ -89,52 +88,64 @@ def effective_pairs(quiver: Quiver, Z: MonomialIdeal, B: list[Path]) -> CoupleCl
     return CoupleClassification(tuple(pairs), tuple(glued), tuple(effective), tuple(glued + non_effective))
 
 
-def _restrict_ideal(component: Quiver, Z: MonomialIdeal) -> MonomialIdeal:
-    vs = set(component.vertices)
-    return MonomialIdeal([z for z in Z.generators if z.source in vs])
+def _per_component(quiver: Quiver, per_arrow: Mapping[str, int]) -> list[tuple[VertexId, int]]:
+    """1 - |Q0| + the sum of per_arrow over the arrows, for each connected component,
+    labelled by its first vertex."""
+    return [(c.vertices[0], 1 - len(c.vertices) + sum(per_arrow[a.name] for a in c.arrows))
+            for c in connected_components(quiver)]
 
 
-def h1_monomial_acyclic(quiver: Quiver, Z: MonomialIdeal) -> H1Report:
-    """1 - |Q0| + |non-effective couples|, summed over connected components."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("monomial formula requires an acyclic quiver")
-    per = []
-    intermediates: dict = {"n_effective": 0, "n_couples": 0}
-    for comp in connected_components(quiver):
-        Zc = _restrict_ideal(comp, Z)
-        cls = effective_pairs(comp, Zc, basis_B(comp, Zc))
-        dim = 1 - len(comp.vertices) + len(cls.non_effective)
-        per.append((comp.vertices[0], dim))
-        intermediates["n_effective"] += len(cls.effective)
-        intermediates["n_couples"] += len(cls.all)
-    total = sum(d for _, d in per)
-    intermediates["n_vertices"] = len(quiver.vertices)
-    intermediates["n_non_effective"] = intermediates["n_couples"] - intermediates["n_effective"]
-    return H1Report(total, "monomial_acyclic", per, intermediates)
+def _parallel_path_counts(quiver: Quiver, max_length: Optional[int] = None) -> dict[str, int]:
+    """For each arrow, the number of paths of length <= max_length parallel to it, read off
+    the path counts; no path is listed."""
+    counts = path_counts(quiver, max_length)
+    return {a.name: sum(layer.get((a.source, a.target), 0) for layer in counts) for a in quiver.arrows}
 
 
-def _couple_rows(quiver: Quiver, max_length: Optional[int] = None) -> tuple[list[tuple[str, int]], int]:
-    """Per component 1 - |Q0| + |(arrow, parallel path of length <= max_length) couples|,
-    and the total couple count, read off the path counts; no path is listed."""
-    per = []
-    n_couples = 0
-    for comp in connected_components(quiver):
-        n = sum(layer.get((a.source, a.target), 0) for layer in path_counts(comp, max_length) for a in comp.arrows)
-        per.append((comp.vertices[0], 1 - len(comp.vertices) + n))
-        n_couples += n
-    return per, n_couples
+def h1_path_algebra_acyclic(presentation: AlgebraPresentation) -> H1Report:
+    """1 - |Q0| + |path/arrow parallel couples| per component."""
+    q = presentation.quiver
+    if presentation.kind != "none" or not q.acyclic:
+        raise NotApplicable("path-algebra formula requires no relations and an acyclic quiver")
+    couples = _parallel_path_counts(q)
+    per = _per_component(q, couples)
+    return H1Report(
+        sum(d for _, d in per), "path_algebra_acyclic", per,
+        {
+            "n_vertices": len(q.vertices),
+            "n_path_arrow_couples": sum(couples.values()),
+            "dim_center_per_component": 1,
+            "sum_diagonal_slices": len(q.vertices),
+        },
+    )
 
 
-def h1_truncated_acyclic(quiver: Quiver, m: int) -> H1Report:
-    """1 - |Q0| + |arrow/basis couples| with basis = paths of length < m."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("truncated formula requires an acyclic quiver")
-    if m < 2:
-        raise NotApplicable("truncation level must be >= 2")
-    per, n_couples = _couple_rows(quiver, max_length=m - 1)
+def h1_truncated_acyclic(presentation: AlgebraPresentation) -> H1Report:
+    """1 - |Q0| + |arrow/basis couples| per component, with basis = paths of length < m."""
+    q = presentation.quiver
+    if presentation.kind != "truncated" or not q.acyclic:
+        raise NotApplicable("truncated formula requires a truncation ideal on an acyclic quiver")
+    couples = _parallel_path_counts(q, max_length=presentation.scheme.m - 1)
+    per = _per_component(q, couples)
     return H1Report(
         sum(d for _, d in per), "truncated_acyclic", per,
-        {"n_vertices": len(quiver.vertices), "n_couples": n_couples},
+        {"n_vertices": len(q.vertices), "n_couples": sum(couples.values())},
+    )
+
+
+def h1_monomial_acyclic(presentation: AlgebraPresentation) -> H1Report:
+    """1 - |Q0| + |non-effective couples| per component.  The couples are classified once
+    on the whole quiver: a couple, and every generator containing its arrow, lie in that
+    arrow's component, so each component's count is the one it has on its own."""
+    q = presentation.quiver
+    if presentation.kind != "monomial" or not q.acyclic:
+        raise NotApplicable("monomial formula requires a monomial ideal on an acyclic quiver")
+    cls = effective_pairs(presentation)
+    per = _per_component(q, Counter(pair.left.arrow_names()[0] for pair in cls.non_effective))
+    return H1Report(
+        sum(d for _, d in per), "monomial_acyclic", per,
+        {"n_effective": len(cls.effective), "n_couples": len(cls.all), "n_vertices": len(q.vertices),
+         "n_non_effective": len(cls.non_effective)},
     )
 
 
@@ -142,42 +153,22 @@ def h1_narrow(quiver: Quiver) -> H1Report:
     """1 - |Q0| + |Q1| per component; valid for any admissible monomial ideal."""
     if not is_narrow(quiver):
         raise NotApplicable("not narrow")
-    per = []
-    for comp in connected_components(quiver):
-        per.append((comp.vertices[0], 1 - len(comp.vertices) + len(comp.arrows)))
+    per = _per_component(quiver, Counter(a.name for a in quiver.arrows))
     return H1Report(
         sum(d for _, d in per), "narrow", per,
         {"n_vertices": len(quiver.vertices), "n_arrows": len(quiver.arrows)},
     )
 
 
-def h1_path_algebra_acyclic(quiver: Quiver) -> H1Report:
-    """1 - |Q0| + |path/arrow parallel couples| per component."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("the path algebra of a cyclic quiver is infinite dimensional")
-    per, n_pairs = _couple_rows(quiver)
-    return H1Report(
-        sum(d for _, d in per), "path_algebra_acyclic", per,
-        {
-            "n_vertices": len(quiver.vertices),
-            "n_path_arrow_couples": n_pairs,
-            "dim_center_per_component": 1,
-            "sum_diagonal_slices": len(quiver.vertices),
-        },
-    )
-
-
 def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals),
     i.e. the tensor-coefficients formula with X = A, X^T = Z(A) and X^E the diagonal
-    slices; the presentation's algebra is built once the precondition holds."""
-    q, kind, scheme = presentation.quiver, presentation.kind, presentation.scheme
-    if kind == "incidence":
-        raise NotApplicable("pre-generated test is not defined for incidence presentations")
-    if kind == "none" and not is_acyclic(q):
-        raise NotApplicable("not pre-generated: zero ideal needs an acyclic quiver")
+    slices.  The basis is read first, so an infinite one raises InfiniteBasis before the
+    pre-generated test; the presentation's algebra is built once that test holds."""
+    q, kind = presentation.quiver, presentation.kind
+    presentation.basis  # raises InfiniteBasis, or NotApplicable for a poset
     if (kind == "monomial" and not is_pregenerated_monomial(presentation)
-            or kind == "truncated" and not truncated_is_pregenerated(q, scheme.m)):
+            or kind == "truncated" and not truncated_is_pregenerated(q, presentation.scheme.m)):
         raise NotApplicable("not pre-generated")
     algebra = build_algebra(presentation)
     data = slice_data_from_paths(q, algebra.basis_paths, center_dim(algebra))
@@ -223,20 +214,15 @@ def h1_bound_monomial(quiver: Quiver, Z: MonomialIdeal) -> int:
     return 1 - len(quiver.vertices) + len(quiver.arrows)
 
 
+FORMULAS = (h1_path_algebra_acyclic, h1_truncated_acyclic, h1_monomial_acyclic, h1_pregenerated)
+
+
 def classify_and_compute(presentation: AlgebraPresentation) -> H1Report:
-    """Select the applicable closed formula, preferring purely combinatorial ones; an
-    infinite basis raises InfiniteBasis before the pre-generated row is tried."""
-    q = presentation.quiver
-    kind = presentation.kind
-    acyclic = is_acyclic(q)
-    if kind == "none" and acyclic:
-        return h1_path_algebra_acyclic(q)
-    if kind == "truncated" and acyclic:
-        return h1_truncated_acyclic(q, presentation.scheme.m)
-    if kind == "monomial" and acyclic:
-        return h1_monomial_acyclic(q, presentation.scheme)
-    try:
-        presentation.basis  # an infinite basis raises InfiniteBasis before any formula is tried
-        return h1_pregenerated(presentation)
-    except NotApplicable:
-        raise FormulaUnavailable("formula unavailable, use oracle") from None
+    """The first row of FORMULAS whose precondition holds, so the combinatorial rows come
+    before the pre-generated one; each row passed over raised NotApplicable with its reason."""
+    for formula in FORMULAS:
+        try:
+            return formula(presentation)
+        except NotApplicable:
+            pass
+    raise FormulaUnavailable("formula unavailable, use oracle")

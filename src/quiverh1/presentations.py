@@ -135,31 +135,48 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     """All paths (including trivial ones) avoiding every generator, sorted; raises
     InfiniteBasis when there are infinitely many.
 
-    One depth-first search extends a path only while no generator is a suffix
-    of it; every prefix of an avoiding path avoids Z, so all of them are reached.
-    Whether an arrow may follow a path depends only on the path's state: its
-    target and its last (longest generator - 1) arrow names.  A branch that
-    comes back to a state it has passed through can repeat that stretch for
-    ever, and the search raises there.  On an acyclic quiver no branch can.
+    Whether an arrow may follow an avoiding path depends only on the path's
+    state: its target and its last (longest generator - 1) arrow names.  On a
+    cyclic quiver one depth-first search over the states first decides
+    finiteness, entering each state once: a branch that returns to a state on
+    it can repeat that stretch for ever, and the search raises there.  Only
+    then are the paths listed, by extending a path while no generator is a
+    suffix of it; every prefix of an avoiding path avoids Z, so all are reached.
     """
     keep = max(Z.max_generator_length - 1, 0)
-    branch: dict[_State, None] = {}  # states of the visited path's proper prefixes, in order
+
+    def avoids(seq: tuple[str, ...]) -> bool:
+        return not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq))
+
+    if not quiver.acyclic:
+        done: set[_State] = set()  # states whose every continuation was searched
+        for v in quiver.vertices:
+            if (v, ()) in done:
+                continue
+            branch: dict[_State, None] = {(v, ()): None}  # the states of the current branch, in order
+            stack = [((), iter(quiver.successors[v]))]
+            while stack:
+                names, arrows = stack[-1]
+                for a in arrows:
+                    seq = names + (a.name,)
+                    if not avoids(seq):
+                        continue
+                    state = (a.target, seq[max(len(seq) - keep, 0):])
+                    if state in branch:
+                        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
+                    if state not in done:
+                        branch[state] = None
+                        stack.append((state[1], iter(quiver.successors[a.target])))
+                        break
+                else:
+                    stack.pop()
+                    done.add(branch.popitem()[0])
     result: list[Path] = []
     stack = [Path(v) for v in quiver.vertices]
     while stack:
         p = stack.pop()
-        if not quiver.acyclic:
-            while len(branch) > p.length:
-                branch.popitem()
-            state = (p.target, p.arrow_names()[max(p.length - keep, 0):])
-            if state in branch:
-                raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
-            branch[state] = None
         result.append(p)
-        for a in quiver.successors[p.target]:
-            seq = p.arrow_names() + (a.name,)
-            if not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq)):
-                stack.append(p._then(a))
+        stack.extend(p._then(a) for a in quiver.successors[p.target] if avoids(p.arrow_names() + (a.name,)))
     result.sort(key=Path.sort_key)
     return result
 

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from .errors import InvalidPoset
-from .exactalg import ExactMatrix, h1_oracle, rank, regular_bimodule
+from .exactalg import Row, h1_oracle, rank, regular_bimodule
 from .presentations import StructureConstantAlgebra
 from .quiver import Arrow, Quiver
 
@@ -144,8 +144,9 @@ def _orderings(trio, strict):
             return  # a chain on a fixed set is unique in a poset
 
 
-def _coboundary(complex_: OrderComplex, p: int) -> ExactMatrix:
-    """delta^p : C^p -> C^{p+1} with the alternating-sum face convention."""
+def _coboundary(complex_: OrderComplex, p: int) -> list[Row]:
+    """The rows of delta^p : C^p -> C^{p+1}, one per (p+1)-simplex, with the alternating-sum
+    face convention; a column is a p-simplex."""
     lower = complex_.simplices_by_dim.get(p, [])
     upper = complex_.simplices_by_dim.get(p + 1, [])
     col = {s: i for i, s in enumerate(lower)}
@@ -158,7 +159,7 @@ def _coboundary(complex_: OrderComplex, p: int) -> ExactMatrix:
             if j is not None:
                 row[j] = row.get(j, 0) + (-1) ** i
         rows.append({k: v for k, v in row.items() if v})
-    return ExactMatrix.from_rows(len(upper), len(lower), rows)
+    return rows
 
 
 def simplicial_h_dim(c: OrderComplex, degree: int, prime: Optional[int] = None) -> int:
@@ -175,12 +176,12 @@ def simplicial_h_dim(c: OrderComplex, degree: int, prime: Optional[int] = None) 
     return (c.n_simplices(1) - r1) - r0
 
 
-def _assert_composite_zero(d0: ExactMatrix, d1: ExactMatrix) -> None:
+def _assert_composite_zero(d0: list[Row], d1: list[Row]) -> None:
     # d1 rows x d0 cols: composite (d1 . d0) must vanish
-    for row in d1.data:
+    for row in d1:
         acc: dict[int, int] = {}
         for c1, v1 in row.items():
-            for c0, v0 in d0.data[c1].items():
+            for c0, v0 in d0[c1].items():
                 acc[c0] = acc.get(c0, 0) + v1 * v0
         if any(acc.values()):
             raise AssertionError("coboundary composite is nonzero")

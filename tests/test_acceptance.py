@@ -28,7 +28,6 @@ from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
     TruncationIdeal,
-    basis_B,
     build_algebra,
     is_pregenerated_monomial,
     truncation_generators,
@@ -58,7 +57,7 @@ def test_criterion_1_kronecker():
     for n in (2, 3, 4):
         q = kronecker(n)
         expected = n * n - 1
-        assert h1_path_algebra_acyclic(q).dim_h1 == expected
+        assert h1_path_algebra_acyclic(AlgebraPresentation(q)).dim_h1 == expected
         kq = build_algebra(AlgebraPresentation(q))
         rep = quotient_bimodule(kq, kq)
         data = slice_data_from_paths(q, list(kq.basis_paths), invariants_dim(rep))
@@ -101,7 +100,7 @@ def test_criterion_3_narrow():
         Z = random_minimal_ideal(rng, q)
         expected = 1 - len(q.vertices) + len(q.arrows)
         assert h1_narrow(q).dim_h1 == expected
-        assert h1_monomial_acyclic(q, Z).dim_h1 == expected
+        assert h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 == expected
         assert _oracle(AlgebraPresentation(q, Z)) == expected
     _ok(3, "20 connected narrow quivers: 1 - |Q0| + |Q1| = monomial formula = oracle")
 
@@ -119,7 +118,7 @@ def test_criterion_4_incidence_vs_simplicial():
 def test_criterion_5_monomial_master_property(monomial_instances):
     assert len(monomial_instances) >= 100
     for q, Z in monomial_instances:
-        assert h1_monomial_acyclic(q, Z).dim_h1 == _oracle(AlgebraPresentation(q, Z))
+        assert h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 == _oracle(AlgebraPresentation(q, Z))
     _ok(5, f"monomial formula = oracle on {len(monomial_instances)} random acyclic instances")
 
 
@@ -130,7 +129,7 @@ def test_criterion_6_truncated_property(monomial_instances):
             pres = AlgebraPresentation(q, TruncationIdeal(m))
             if build_algebra(pres).dimension > 30:
                 continue
-            assert h1_truncated_acyclic(q, m).dim_h1 == _oracle(pres)
+            assert h1_truncated_acyclic(pres).dim_h1 == _oracle(pres)
             count += 1
     assert count >= 100
     _ok(6, f"truncated formula = oracle on {count} instances with m in {{2, 3}}")
@@ -139,12 +138,12 @@ def test_criterion_6_truncated_property(monomial_instances):
 def test_criterion_7_lower_bound(monomial_instances):
     for q, Z in monomial_instances:
         bound = 1 - len(q.vertices) + len(q.arrows)
-        assert h1_monomial_acyclic(q, Z).dim_h1 >= bound
+        assert h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 >= bound
         for m in (2, 3):
-            assert h1_truncated_acyclic(q, m).dim_h1 >= bound
+            assert h1_truncated_acyclic(AlgebraPresentation(q, TruncationIdeal(m))).dim_h1 >= bound
     q = branch()
     Z = MonomialIdeal([path_of(q, "a", "b")])
-    dim = h1_monomial_acyclic(q, Z).dim_h1
+    dim = h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1
     assert dim == 2 and dim > 1 - len(q.vertices) + len(q.arrows)
     _ok(7, "dim H1 >= 1 - |Q0| + |Q1| on all instances; effective-couple fixture gives 2 > 1")
 
@@ -155,9 +154,9 @@ def test_criterion_8_exact_sequence_consequence(monomial_instances):
         quot = build_algebra(AlgebraPresentation(q, Z))
         rep = quotient_bimodule(kq, quot)
         data = slice_data_from_paths(q, list(quot.basis_paths), invariants_dim(rep))
-        n_effective = len(effective_pairs(q, Z, basis_B(q, Z)).effective)
+        n_effective = len(effective_pairs(AlgebraPresentation(q, Z)).effective)
         assert (
-            h1_tensor_coefficients(q, data) - h1_monomial_acyclic(q, Z).dim_h1 == n_effective
+            h1_tensor_coefficients(q, data) - h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 == n_effective
         )
     _ok(8, "tensor-coefficients H1 minus monomial H1 equals the effective-couple count")
 
@@ -231,8 +230,8 @@ def test_criterion_10_internal_consistency(monomial_instances):
         for z in z2.generators:
             renamed.append(path_of(union, *[f"w{n}" for n in z.arrow_names()]))
         Z = MonomialIdeal(list(z1.generators) + renamed)
-        total_formula = h1_monomial_acyclic(union, Z).dim_h1
-        parts_formula = h1_monomial_acyclic(q1, z1).dim_h1 + h1_monomial_acyclic(q2, z2).dim_h1
+        total_formula = h1_monomial_acyclic(AlgebraPresentation(union, Z)).dim_h1
+        parts_formula = sum(h1_monomial_acyclic(AlgebraPresentation(q, z)).dim_h1 for q, z in ((q1, z1), (q2, z2)))
         assert total_formula == parts_formula
         total_oracle = _oracle(AlgebraPresentation(union, Z))
         parts_oracle = _oracle(AlgebraPresentation(q1, z1)) + _oracle(AlgebraPresentation(q2, z2))

@@ -388,6 +388,20 @@ def test_a_presentation_is_analysed_once(monkeypatch, capsys):
     assert build_algebra(pres) is build_algebra(pres)
 
 
+def test_check_searches_an_acyclic_monomial_basis_once(monkeypatch, capsys):
+    """The monomial row reads the presentation's basis, which the oracle's algebra reuses."""
+    from quiverh1 import formulas, presentations
+
+    calls = []
+    real = presentations.basis_B
+    for module in (presentations, formulas):  # every binding, should a module import it again
+        monkeypatch.setattr(module, "basis_B", lambda *a: calls.append(a) or real(*a), raising=False)
+    for name in ("a3-monomial.quiver", "effective-couple.quiver"):
+        calls.clear()
+        assert main(["check", str(FIXTURE_DIR / name)]) == EXIT_OK
+        assert len(calls) == 1
+    capsys.readouterr()
+
 GOLDEN = FsPath(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quiverh1.errors import FormulaUnavailable, InfiniteBasis, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, quotient_bimodule, regular_bimodule
 from quiverh1.formulas import (
+    FORMULAS,
     CoupleClassification,
     H1Report,
     classify_and_compute,
@@ -34,6 +35,7 @@ from quiverh1.quiver import (
 )
 
 from conftest import (
+    FIXTURE_DIR,
     a2,
     a3,
     branch,
@@ -41,6 +43,7 @@ from conftest import (
     cycle,
     contains_generator,
     fib_dag,
+    fixture_text,
     glued_pairs,
     kronecker,
     parallel_pairs,
@@ -76,7 +79,7 @@ def test_glued_pairs_loop():
 def test_effective_pairs_branch():
     q = branch()
     Z = MonomialIdeal([path_of(q, "a", "b")])
-    cls = effective_pairs(q, Z, basis_B(q, Z))
+    cls = effective_pairs(AlgebraPresentation(q, Z))
     assert {(p.left.label(), p.right.label()) for p in cls.effective} == {("b", "c")}
     assert ("c", "b") in {(p.left.label(), p.right.label()) for p in cls.non_effective}
 
@@ -84,32 +87,32 @@ def test_effective_pairs_branch():
 def test_effective_pairs_empty_cases():
     q = a3()
     Z = MonomialIdeal([path_of(q, "a", "b")])
-    assert effective_pairs(q, Z, basis_B(q, Z)).effective == ()
+    assert effective_pairs(AlgebraPresentation(q, Z)).effective == ()
     # truncation ideals never have effective couples
     qb = branch()
     Z = truncation_generators(qb, 2)
-    assert effective_pairs(qb, Z, basis_B(qb, Z)).effective == ()
+    assert effective_pairs(AlgebraPresentation(qb, Z)).effective == ()
 
 
 def test_effective_pairs_rejects_cyclic():
     c3 = cycle(3)
     with pytest.raises(NotApplicable):
-        effective_pairs(c3, truncation_generators(c3, 2), basis_B(c3, truncation_generators(c3, 2)))
+        effective_pairs(AlgebraPresentation(c3, truncation_generators(c3, 2)))
 
 
 def test_h1_monomial_examples():
     k2 = kronecker(2)
-    assert h1_monomial_acyclic(k2, MonomialIdeal([])).dim_h1 == 3
+    assert h1_monomial_acyclic(AlgebraPresentation(k2, MonomialIdeal([]))).dim_h1 == 3
     qb = branch()
-    assert h1_monomial_acyclic(qb, MonomialIdeal([path_of(qb, "a", "b")])).dim_h1 == 2
+    assert h1_monomial_acyclic(AlgebraPresentation(qb, MonomialIdeal([path_of(qb, "a", "b")]))).dim_h1 == 2
     q = a3()
-    assert h1_monomial_acyclic(q, MonomialIdeal([path_of(q, "a", "b")])).dim_h1 == 0
+    assert h1_monomial_acyclic(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")]))).dim_h1 == 0
 
 
 def test_h1_truncated_examples():
-    assert h1_truncated_acyclic(branch(), 2).dim_h1 == 3
-    assert h1_truncated_acyclic(a3(), 2).dim_h1 == 0
-    assert h1_truncated_acyclic(kronecker(2), 2).dim_h1 == 3
+    assert h1_truncated_acyclic(AlgebraPresentation(branch(), TruncationIdeal(2))).dim_h1 == 3
+    assert h1_truncated_acyclic(AlgebraPresentation(a3(), TruncationIdeal(2))).dim_h1 == 0
+    assert h1_truncated_acyclic(AlgebraPresentation(kronecker(2), TruncationIdeal(2))).dim_h1 == 3
 
 
 def test_h1_narrow_examples():
@@ -137,9 +140,9 @@ def test_h1_narrow_trees():
 
 def test_h1_path_algebra_examples():
     for n in (2, 3, 4):
-        assert h1_path_algebra_acyclic(kronecker(n)).dim_h1 == n * n - 1
-    assert h1_path_algebra_acyclic(crown_quiver()).dim_h1 == 1
-    assert h1_path_algebra_acyclic(a2()).dim_h1 == 0
+        assert h1_path_algebra_acyclic(AlgebraPresentation(kronecker(n))).dim_h1 == n * n - 1
+    assert h1_path_algebra_acyclic(AlgebraPresentation(crown_quiver())).dim_h1 == 1
+    assert h1_path_algebra_acyclic(AlgebraPresentation(a2())).dim_h1 == 0
 
 
 def test_h1_pregenerated_examples():
@@ -201,7 +204,8 @@ def test_degeneration_consistency():
     rng = random.Random(19)
     for _ in range(10):
         q = random_connected_dag(rng)
-        assert h1_monomial_acyclic(q, MonomialIdeal([])).dim_h1 == h1_path_algebra_acyclic(q).dim_h1
+        assert (h1_monomial_acyclic(AlgebraPresentation(q, MonomialIdeal([]))).dim_h1
+                == h1_path_algebra_acyclic(AlgebraPresentation(q)).dim_h1)
 
 
 def test_truncation_consistency():
@@ -210,8 +214,8 @@ def test_truncation_consistency():
         q = random_connected_dag(rng)
         for m in (2, 3):
             assert (
-                h1_truncated_acyclic(q, m).dim_h1
-                == h1_monomial_acyclic(q, truncation_generators(q, m)).dim_h1
+                h1_truncated_acyclic(AlgebraPresentation(q, TruncationIdeal(m))).dim_h1
+                == h1_monomial_acyclic(AlgebraPresentation(q, truncation_generators(q, m))).dim_h1
             )
 
 
@@ -223,7 +227,7 @@ def test_narrow_consistency():
         if not is_narrow(q):
             continue
         Z = random_minimal_ideal(rng, q)
-        assert h1_monomial_acyclic(q, Z).dim_h1 == h1_narrow(q).dim_h1
+        assert h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 == h1_narrow(q).dim_h1
         found += 1
     assert found >= 5
 
@@ -236,7 +240,7 @@ def test_formula_additivity_over_components():
         list(q1.arrows) + [Arrow(f"w{a.name}", f"w{a.source}", f"w{a.target}") for a in q2.arrows],
     )
     Z = MonomialIdeal([path_of(union, "wa", "wb")])
-    got = h1_monomial_acyclic(union, Z)
+    got = h1_monomial_acyclic(AlgebraPresentation(union, Z))
     assert got.dim_h1 == 3 + 2
     assert dict(got.per_component) == {"x": 3, "wv1": 2}
 
@@ -363,9 +367,10 @@ def _acyclic_quivers():
 
 def test_acyclic_rows_match_the_enumerating_reference():
     for q in _acyclic_quivers():
-        assert h1_path_algebra_acyclic(q) == reference_h1_path_algebra_acyclic(q)
+        assert h1_path_algebra_acyclic(AlgebraPresentation(q)) == reference_h1_path_algebra_acyclic(q)
         for m in range(2, 6):
-            assert h1_truncated_acyclic(q, m) == reference_h1_truncated_acyclic(q, m)
+            truncated = AlgebraPresentation(q, TruncationIdeal(m))
+            assert h1_truncated_acyclic(truncated) == reference_h1_truncated_acyclic(q, m)
 
 
 def test_acyclic_rows_list_no_paths(monkeypatch):
@@ -382,9 +387,9 @@ def test_acyclic_rows_list_no_paths(monkeypatch):
     real_init = Path.__init__
     monkeypatch.setattr(Path, "__init__", lambda self, *a, **k: listed.append(a) or real_init(self, *a, **k))
     for q in (fib_dag(18), crown_quiver(), kronecker(3)):
-        h1_path_algebra_acyclic(q)
+        h1_path_algebra_acyclic(AlgebraPresentation(q))
         for m in range(2, 6):
-            h1_truncated_acyclic(q, m)
+            h1_truncated_acyclic(AlgebraPresentation(q, TruncationIdeal(m)))
     assert listed == []
 
 
@@ -436,7 +441,7 @@ def test_effective_pairs_match_the_pairing_reference(monomial_instances):
     n_effective = 0
     for q, Z in monomial_instances:
         B = basis_B(q, Z)
-        cls = effective_pairs(q, Z, B)
+        cls = effective_pairs(AlgebraPresentation(q, Z))
         ref = reference_effective_pairs(q, Z, B)
         assert (cls.all, cls.glued, cls.effective, cls.non_effective) == (
             ref.all, ref.glued, ref.effective, ref.non_effective)
@@ -489,8 +494,10 @@ def test_dim_h1_is_invariant_under_the_opposite_presentation(kind, seed, m):
 def test_dim_h1_is_additive_over_a_disjoint_union(kind, seeds, m):
     p1, p2 = (_seeded_presentation(kind, seed, m, prefix) for seed, prefix in zip(seeds, ("l", "r")))
     union = classify_and_compute(_disjoint_union(p1, p2))
-    assert union.dim_h1 == classify_and_compute(p1).dim_h1 + classify_and_compute(p2).dim_h1
+    parts = [classify_and_compute(p) for p in (p1, p2)]
+    assert union.dim_h1 == parts[0].dim_h1 + parts[1].dim_h1
     assert len(union.per_component) == 2
+    assert [dim for _, dim in union.per_component] == [part.dim_h1 for part in parts]
 
 
 def test_acyclicity_is_searched_once_per_quiver(monkeypatch):
@@ -509,4 +516,53 @@ def test_acyclicity_is_searched_once_per_quiver(monkeypatch):
     union = _disjoint_union(*(_seeded_presentation("monomial", 7, 2, p) for p in "lr"))
     searched.clear()
     classify_and_compute(union)
-    assert len(searched) == 3 and set(Counter(searched).values()) == {1}  # the union, then each component
+    assert searched == [id(union.quiver)]  # the union only: no component quiver is searched
+
+
+def _table_instances():
+    """Every quiver fixture, and seeded acyclic (path-algebra, monomial, truncated) and
+    cyclic (monomial, truncated) presentations."""
+    from quiverh1.cli import parse
+    from test_presentations import random_cyclic_instance
+
+    instances = [parse(fixture_text(path.name)).body for path in sorted(FIXTURE_DIR.glob("*.quiver"))]
+    for seed in range(60):
+        for kind in ("monomial", "truncated"):
+            pres = _seeded_presentation(kind, seed, 2 + seed % 3)
+            instances += [pres, AlgebraPresentation(pres.quiver)]
+    instances += [AlgebraPresentation(cycle(n), TruncationIdeal(m)) for n in range(1, 6) for m in range(2, 5)]
+    rng = random.Random(31)
+    while len(instances) < 400:
+        q, Z = random_cyclic_instance(rng)
+        if not is_acyclic(q):
+            instances += [AlgebraPresentation(q, Z), AlgebraPresentation(q, TruncationIdeal(rng.randint(2, 4)))]
+    return instances
+
+
+def test_every_applicable_row_of_the_table_agrees():
+    """Each row either raises NotApplicable or gives the same dimension as the others, and
+    dispatch returns the first row that applies."""
+    seen = Counter()
+    for pres in _table_instances():
+        applicable = []
+        for row in FORMULAS:
+            try:
+                applicable.append(row(pres))
+            except NotApplicable:
+                pass
+            except InfiniteBasis:
+                applicable.append("infinite")
+        if "infinite" in applicable:
+            assert applicable == ["infinite"]
+            with pytest.raises(InfiniteBasis):
+                classify_and_compute(pres)
+        elif not applicable:
+            with pytest.raises(FormulaUnavailable):
+                classify_and_compute(pres)
+        else:
+            assert len({report.dim_h1 for report in applicable}) == 1
+            assert classify_and_compute(pres) == applicable[0]
+        seen[tuple(getattr(report, "method", report) for report in applicable)] += 1
+    assert min(seen[("path_algebra_acyclic", "pregenerated")], seen[("monomial_acyclic", "pregenerated")],
+               seen[("truncated_acyclic", "pregenerated")], seen[("pregenerated",)], seen[("infinite",)],
+               seen[()]) >= 5  # every outcome occurs

@@ -598,3 +598,22 @@ def test_basis_B_is_the_set_of_avoiding_paths_or_raises(instance):
             longer = Path(p.source, p.arrows + (a,))
             assert (longer in B) == (not any(z.arrow_names() == longer.arrow_names()[-z.length:]
                                              for z in Z.generators))
+
+
+def test_basis_B_decides_an_infinite_basis_before_listing_a_path(monkeypatch):
+    """A Fib-DAG with a loop at its first vertex, where only s0*s1 is killed, has
+    Fibonacci-many avoiding paths before any cycle; the state search raises first."""
+    dag = fib_dag(40)
+    q = Quiver(dag.vertices, dag.arrows + (Arrow("x", "v0", "v0"),))
+    Z = MonomialIdeal([path_of(q, "s0", "s1")])
+    extensions = []
+
+    def counted(p, a, real=Path._then):
+        extensions.append(a)
+        assert len(extensions) < 1000, "paths are listed before the basis is found infinite"
+        return real(p, a)
+
+    monkeypatch.setattr(Path, "_then", counted)
+    with pytest.raises(InfiniteBasis, match="infinite basis: quiver is cyclic and the ideal is not admissible"):
+        basis_B(q, Z)
+    assert extensions == []
