@@ -39,7 +39,6 @@ from . import exactalg, formulas, simplicial
 from .errors import FormulaUnavailable, GuardExceeded, InvalidIdeal, ParseError, QuiverH1Error
 from .presentations import (
     AlgebraPresentation,
-    MonomialIdeal,
     TruncationIdeal,
     build_algebra,
     check_minimal,

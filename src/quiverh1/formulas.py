@@ -166,7 +166,7 @@ def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     slices.  The basis is read first, so an infinite one raises InfiniteBasis before the
     pre-generated test; the presentation's algebra is built once that test holds."""
     q, kind = presentation.quiver, presentation.kind
-    presentation.basis  # raises InfiniteBasis, or NotApplicable for a poset
+    presentation.basis  # raises InfiniteBasis
     if (kind == "monomial" and not is_pregenerated_monomial(presentation)
             or kind == "truncated" and not truncated_is_pregenerated(q, presentation.scheme.m)):
         raise NotApplicable("not pre-generated")

@@ -2,20 +2,16 @@
 
 A monomial ideal is given by a minimal set Z of paths of length >= 2; the
 quotient algebra has as basis the paths avoiding every generator.  Truncation
-at level m keeps paths of length < m.  Incidence algebras of posets are built
-directly on the comparable-pair basis (see the simplicial module).
+at level m keeps paths of length < m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
-if TYPE_CHECKING:
-    from .simplicial import Poset
-
-from .errors import InfiniteBasis, InvalidIdeal, NotApplicable
+from .errors import InfiniteBasis, InvalidIdeal
 from .quiver import (
     Path,
     PathBasis,
@@ -23,6 +19,7 @@ from .quiver import (
     VertexId,
     enumerate_paths,
     path_counts,
+    reaches_cycle,
     validate,
 )
 
@@ -54,16 +51,13 @@ class TruncationIdeal:
             raise InvalidIdeal(f"truncation level must be >= 2, got {self.m}")
 
 
-Scheme = Union[None, MonomialIdeal, TruncationIdeal, "Poset"]
+Scheme = Union[None, MonomialIdeal, TruncationIdeal]
 
 
 @dataclass(frozen=True)
 class AlgebraPresentation:
-    """A quiver with one relation scheme, or a poset (incidence algebra).
-
-    ``scheme`` is None (no relations), a MonomialIdeal, a TruncationIdeal, or a
-    simplicial.Poset; in the poset case ``quiver`` is the Hasse quiver.  Its basis
-    and its algebra are computed once, on first use.
+    """A quiver with one relation scheme: None (no relations), a MonomialIdeal or a
+    TruncationIdeal.  Its basis and its algebra are computed once, on first use.
     """
 
     quiver: Quiver
@@ -77,14 +71,12 @@ class AlgebraPresentation:
             return "monomial"
         if isinstance(self.scheme, TruncationIdeal):
             return "truncated"
-        return "incidence"
+        raise InvalidIdeal(f"unknown relation scheme: {type(self.scheme).__name__}")
 
     @cached_property
     def basis(self) -> PathBasis:
         """The basis paths, found once; raises InfiniteBasis when there are infinitely many."""
         q, kind = self.quiver, self.kind
-        if kind == "incidence":
-            raise NotApplicable("an incidence algebra has no path basis")
         validate(q)
         if kind == "monomial":
             return PathBasis(basis_B(q, self.scheme))
@@ -97,11 +89,7 @@ class AlgebraPresentation:
     @cached_property
     def algebra(self) -> StructureConstantAlgebra:
         """Structure constants on the basis, verified by ``check()``, which visits only the
-        triples where a product can be nonzero; a poset gives its incidence algebra."""
-        if self.kind == "incidence":
-            from .simplicial import incidence_algebra
-
-            return incidence_algebra(self.scheme)
+        triples where a product can be nonzero."""
         return _path_basis_algebra(self.basis).check()
 
 
@@ -137,40 +125,25 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
 
     Whether an arrow may follow an avoiding path depends only on the path's
     state: its target and its last (longest generator - 1) arrow names.  On a
-    cyclic quiver one depth-first search over the states first decides
-    finiteness, entering each state once: a branch that returns to a state on
-    it can repeat that stretch for ever, and the search raises there.  Only
-    then are the paths listed, by extending a path while no generator is a
-    suffix of it; every prefix of an avoiding path avoids Z, so all are reached.
+    cyclic quiver ``reaches_cycle`` over the states first decides finiteness:
+    a stretch that returns to a state can be repeated for ever.  Only then are
+    the paths listed, by extending a path while no generator is a suffix of it;
+    every prefix of an avoiding path avoids Z, so all are reached.
     """
     keep = max(Z.max_generator_length - 1, 0)
 
     def avoids(seq: tuple[str, ...]) -> bool:
         return not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq))
 
-    if not quiver.acyclic:
-        done: set[_State] = set()  # states whose every continuation was searched
-        for v in quiver.vertices:
-            if (v, ()) in done:
-                continue
-            branch: dict[_State, None] = {(v, ()): None}  # the states of the current branch, in order
-            stack = [((), iter(quiver.successors[v]))]
-            while stack:
-                names, arrows = stack[-1]
-                for a in arrows:
-                    seq = names + (a.name,)
-                    if not avoids(seq):
-                        continue
-                    state = (a.target, seq[max(len(seq) - keep, 0):])
-                    if state in branch:
-                        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
-                    if state not in done:
-                        branch[state] = None
-                        stack.append((state[1], iter(quiver.successors[a.target])))
-                        break
-                else:
-                    stack.pop()
-                    done.add(branch.popitem()[0])
+    def step(state: _State) -> Iterable[_State]:
+        v, names = state
+        for a in quiver.successors[v]:
+            seq = names + (a.name,)
+            if avoids(seq):
+                yield a.target, seq[max(len(seq) - keep, 0):]
+
+    if not quiver.acyclic and reaches_cycle([(v, ()) for v in quiver.vertices], step):
+        raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
     result: list[Path] = []
     stack = [Path(v) for v in quiver.vertices]
     while stack:
@@ -181,40 +154,33 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     return result
 
 
-def _slice_table(presentation: AlgebraPresentation) -> dict[tuple[VertexId, VertexId], tuple[int, int, int]]:
-    """(x, y) -> (dim yIx, dim y(FI+IF)x, dim y(kQ)x) for a monomial presentation, from one
-    path enumeration.
+def slice_ideal_dims(presentation: AlgebraPresentation, x: VertexId, y: VertexId) -> tuple[int, int, int]:
+    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x) of a monomial presentation with a minimal Z,
+    counted on paths from x to y; on a cyclic-but-admissible quiver, on those no longer
+    than the longest basis path plus the longest generator.
 
-    A path lies in FI+IF when some generator occurrence in it is not the whole
-    path.  On a cyclic-but-admissible quiver the counts stop at the longest basis
-    path plus the longest generator, under which all basis paths and generators
-    fit; this still decides the pre-generated alternative.
+    A path of kQ lies outside I exactly when it is a basis path.  A path in I lies
+    in FI+IF exactly when some generator occurrence in it is not the whole path,
+    and by minimality that fails only for the generators themselves.  So the
+    counts are read off the path counts, the basis and Z, and no path is listed.
     """
     q, Z = presentation.quiver, presentation.scheme
     bound = None if q.acyclic else presentation.basis[-1].length + Z.max_generator_length
-    table: dict[tuple[VertexId, VertexId], tuple[int, int, int]] = {}
-    for p in enumerate_paths(q, max_length=bound):
-        spans = _generator_spans(p.arrow_names(), Z)
-        dim_I, dim_FIIF, dim_total = table.get((p.source, p.target), (0, 0, 0))
-        table[(p.source, p.target)] = (
-            dim_I + bool(spans),
-            dim_FIIF + any(i > 0 or j < p.length for (i, j) in spans),
-            dim_total + 1,
-        )
-    return table
-
-
-def slice_ideal_dims(presentation: AlgebraPresentation, x: VertexId, y: VertexId) -> tuple[int, int, int]:
-    """(dim yIx, dim y(FI+IF)x, dim y(kQ)x) of a monomial presentation, counted on paths
-    from x to y."""
-    return _slice_table(presentation).get((x, y), (0, 0, 0))
+    dim_total = sum(layer.get((x, y), 0) for layer in path_counts(q, max_length=bound))
+    dim_I = dim_total - len(presentation.basis.between.get((x, y), ()))
+    return dim_I, dim_I - sum((z.source, z.target) == (x, y) for z in Z.generators), dim_total
 
 
 def is_pregenerated_monomial(presentation: AlgebraPresentation) -> bool:
-    """Each vertex-pair slice of the monomial ideal is full or equals the FI+IF slice;
-    raises InfiniteBasis when the ideal is not admissible."""
-    return all(dim_I in (dim_total, dim_FIIF) for dim_I, dim_FIIF, dim_total in
-               _slice_table(presentation).values())
+    """Each vertex-pair slice yIx of the monomial ideal, for a minimal Z, is ykQx or
+    y(FI+IF)x; raises InfiniteBasis when the ideal is not admissible.
+
+    By ``slice_ideal_dims``, yIx = ykQx when no basis path runs from x to y, and
+    yIx = y(FI+IF)x when no generator does; these hold on paths of every length.
+    So the ideal is pre-generated iff no generator is parallel to a basis path.
+    """
+    between = presentation.basis.between
+    return not any((z.source, z.target) in between for z in presentation.scheme.generators)
 
 
 def truncated_is_pregenerated(quiver: Quiver, m: int) -> bool:
@@ -243,8 +209,8 @@ class StructureConstantAlgebra:
     ``table[(i, j)] = k`` means b_i b_j = b_k; absent keys mean zero.  Every
     algebra the program builds (paths modulo a monomial ideal, matrix units of
     an incidence algebra) multiplies basis elements this way.  ``basis_paths``
-    is kept when the basis consists of paths, so vertex-pair slices and
-    concatenations can be read off.
+    is kept when the basis consists of paths and the table is their
+    concatenation, so vertex-pair slices and concatenations can be read off.
     """
 
     basis: tuple[str, ...]
@@ -258,10 +224,9 @@ class StructureConstantAlgebra:
         return len(self.basis)
 
     def opposite(self) -> "StructureConstantAlgebra":
+        """The reversed table; its basis paths are dropped, as it is not their concatenation."""
         op_table = {(j, i): k for (i, j), k in self.table.items()}
-        return StructureConstantAlgebra(
-            self.basis, op_table, dict(self.unit), dict(self.vertex_idempotents), self.basis_paths
-        )
+        return StructureConstantAlgebra(self.basis, op_table, dict(self.unit), dict(self.vertex_idempotents))
 
     def check(self) -> "StructureConstantAlgebra":
         """Assert associativity on all basis triples and the unit/idempotent axioms.

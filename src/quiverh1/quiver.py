@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .errors import InfinitePathSet, InvalidQuiver, NotApplicable
 
@@ -47,7 +47,7 @@ class Quiver:
 
     @cached_property
     def acyclic(self) -> bool:
-        return _acyclicity_search(self)
+        return not reaches_cycle(self.vertices, lambda v: (a.target for a in self.successors[v]))
 
 
 @dataclass(frozen=True)
@@ -150,29 +150,35 @@ def is_acyclic(quiver: Quiver) -> bool:
     return quiver.acyclic
 
 
-def _acyclicity_search(quiver: Quiver) -> bool:
-    """The depth-first search behind ``Quiver.acyclic``, which runs it once per quiver."""
-    out = quiver.successors
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in quiver.vertices}
-    for start in quiver.vertices:
-        if color[start] != WHITE:
+State = TypeVar("State", bound=Hashable)
+
+
+def reaches_cycle(starts: Iterable[State], step: Callable[[State], Iterable[State]]) -> bool:
+    """True iff some state reachable from ``starts`` can come back to itself under ``step``.
+
+    One depth-first search enters each state once: a branch that steps onto one
+    of its own states has found a cycle, and a state whose every continuation
+    was searched is finished and never entered again.  ``Quiver.acyclic`` runs
+    it on vertices, and ``presentations.basis_B`` on avoiding-path states.
+    """
+    done: set[State] = set()
+    for start in starts:
+        if start in done:
             continue
-        stack = [(start, iter(out[start]))]
-        color[start] = GRAY
+        branch: dict[State, None] = {start: None}  # the states of the current branch, in order
+        stack = [iter(step(start))]
         while stack:
-            v, it = stack[-1]
-            for a in it:
-                if color[a.target] == GRAY:
-                    return False
-                if color[a.target] == WHITE:
-                    color[a.target] = GRAY
-                    stack.append((a.target, iter(out[a.target])))
+            for state in stack[-1]:
+                if state in branch:
+                    return True
+                if state not in done:
+                    branch[state] = None
+                    stack.append(iter(step(state)))
                     break
             else:
-                color[v] = BLACK
                 stack.pop()
-    return True
+                done.add(branch.popitem()[0])
+    return False
 
 
 def connected_components(quiver: Quiver) -> list[Quiver]:

@@ -501,22 +501,31 @@ def test_dim_h1_is_additive_over_a_disjoint_union(kind, seeds, m):
 
 
 def test_acyclicity_is_searched_once_per_quiver(monkeypatch):
-    from quiverh1 import quiver as quiver_module
+    """The shared cycle search runs once on each quiver's vertices and, on a cyclic
+    quiver, once on its presentation's basis states."""
+    from quiverh1 import presentations, quiver as quiver_module
 
     searched = []
-    real = quiver_module._acyclicity_search
-    monkeypatch.setattr(quiver_module, "_acyclicity_search", lambda q: searched.append(id(q)) or real(q))
+    real = quiver_module.reaches_cycle
+
+    def counted(starts, step):
+        searched.append(tuple(starts))
+        return real(searched[-1], step)
+
+    for module in (quiver_module, presentations):
+        monkeypatch.setattr(module, "reaches_cycle", counted)
     c3, loop = cycle(3), Quiver(["v"], [Arrow("x", "v", "v")])
+    states = lambda q: tuple((v, ()) for v in q.vertices)
     pregenerated = AlgebraPresentation(c3, truncation_generators(c3, 2))
-    assert classify_and_compute(pregenerated).method == "pregenerated"  # slices, then the basis
-    assert searched == [id(c3)]
+    assert classify_and_compute(pregenerated).method == "pregenerated"  # the quiver, then the basis
+    assert searched == [c3.vertices, states(c3)]
     with pytest.raises(FormulaUnavailable):  # k[x]/(x^2) is not pre-generated
         classify_and_compute(AlgebraPresentation(loop, MonomialIdeal([path_of(loop, "x", "x")])))
-    assert searched == [id(c3), id(loop)]
+    assert searched == [c3.vertices, states(c3), loop.vertices, states(loop)]
     union = _disjoint_union(*(_seeded_presentation("monomial", 7, 2, p) for p in "lr"))
     searched.clear()
     classify_and_compute(union)
-    assert searched == [id(union.quiver)]  # the union only: no component quiver is searched
+    assert searched == [union.quiver.vertices]  # the union only: no component quiver is searched
 
 
 def _table_instances():

@@ -259,6 +259,18 @@ def test_build_algebra_infinite():
         build_algebra(AlgebraPresentation(cycle(3)))
 
 
+def test_a_presentation_takes_no_scheme_but_relations_on_its_quiver():
+    """A poset, or any other object, is not a relation scheme: it raises InvalidIdeal and
+    is never read as a truncation.  A poset's algebra is simplicial.incidence_algebra."""
+    poset = Poset.from_pairs(["x", "y", "z"], [("z", "y"), ("y", "x")])
+    for scheme in (poset, object()):
+        pres = AlgebraPresentation(a3(), scheme)
+        for read in (lambda: pres.kind, lambda: pres.basis, lambda: build_algebra(pres)):
+            with pytest.raises(InvalidIdeal, match="unknown relation scheme"):
+                read()
+    assert incidence_algebra(poset).dimension == 6
+
+
 def test_algebra_check_catches_bad_table():
     alg = build_algebra(AlgebraPresentation(a2()))
     from quiverh1.presentations import StructureConstantAlgebra
@@ -430,27 +442,40 @@ def test_basis_B_matches_enumerate_then_filter(monomial_instances):
         assert basis_B(q, Z) == reference_basis(q, Z)
 
 
-def test_slice_dims_match_per_pair_count(monomial_instances):
-    for q, Z in _one_pass_instances(monomial_instances):
+@pytest.fixture(scope="module")
+def cyclic_admissible_instances():
+    """The admissible instances among 640 draws of ``random_cycle_instance`` under
+    ``random.Random(5)``: at least 300, and at least 30 of them pre-generated."""
+    rng = random.Random(5)
+    draws = [random_cycle_instance(rng) for _ in range(640)]
+    return [(q, Z) for q, Z in draws if max_avoiding_length(q, Z) is not None]
+
+
+def test_slice_dims_match_per_pair_count(monomial_instances, cyclic_admissible_instances):
+    for q, Z in _one_pass_instances(monomial_instances) + cyclic_admissible_instances:
         for x in q.vertices:
             for y in q.vertices:
                 assert slice_ideal_dims(AlgebraPresentation(q, Z), x, y) == reference_slice_dims(q, Z, x, y)
 
 
+def test_pregenerated_matches_the_shortcut_on_cyclic_instances(cyclic_admissible_instances):
+    verdicts = [is_pregenerated_monomial(AlgebraPresentation(q, Z)) for q, Z in cyclic_admissible_instances]
+    assert verdicts == [_shortcut_pregenerated(q, Z) for q, Z in cyclic_admissible_instances]
+    assert len(verdicts) >= 300 and sum(verdicts) >= 30
+
+
 def test_pregenerated_test_enumerates_paths_once(monkeypatch):
+    """The test reads the basis and lists or counts no path of kQ."""
     from quiverh1 import presentations
 
     q = cycle(10)
     Z = truncation_generators(q, 3)
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_paths(*args, **kwargs)
-
-    monkeypatch.setattr(presentations, "enumerate_paths", counted)
+    for name in ("enumerate_paths", "path_counts"):
+        real = getattr(presentations, name)
+        monkeypatch.setattr(presentations, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
     assert is_pregenerated_monomial(AlgebraPresentation(q, Z))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def reference_check_minimal(quiver, Z):
@@ -539,9 +564,27 @@ def random_cyclic_instance(rng: random.Random):
     ideal of random walks of length 2-4."""
     verts = [f"v{i}" for i in range(rng.randint(1, 4))]
     q = Quiver(verts, [Arrow(f"a{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(1, 5))])
-    walks = [(rng.choice(verts), [rng.randrange(5) for _ in range(rng.randint(2, 4))])
+    return q, random_walk_ideal(rng, q)
+
+
+def random_cycle_instance(rng: random.Random):
+    """A directed 3- or 4-cycle through every vertex, random arrows up to 5 in all, and a
+    minimal ideal of random walks of length 2-4.  Cyclic by construction; unlike random
+    endpoints, which rarely give one, about a quarter of its admissible draws are
+    pre-generated."""
+    n = rng.randint(3, 4)
+    verts = [f"v{i}" for i in range(n)]
+    arrows = [Arrow(f"c{i}", verts[i], verts[(i + 1) % n]) for i in range(n)]
+    arrows += [Arrow(f"a{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(0, 5 - n))]
+    q = Quiver(verts, arrows)
+    return q, random_walk_ideal(rng, q)
+
+
+def random_walk_ideal(rng: random.Random, q: Quiver) -> MonomialIdeal:
+    """The minimal ideal of up to 8 random walks of length 2-4 in q."""
+    walks = [(rng.choice(q.vertices), [rng.randrange(5) for _ in range(rng.randint(2, 4))])
              for _ in range(rng.randint(0, 8))]
-    return q, ideal_of_walks(q, walks)
+    return ideal_of_walks(q, walks)
 
 
 def basis_B_against_the_automaton(q, Z):

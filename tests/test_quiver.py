@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverh1.errors import InfinitePathSet, InvalidQuiver, NotApplicable
@@ -193,6 +193,21 @@ def test_path_counts_match_enumeration(n, ends, acyclic, bound):
     for p in enumerate_paths(q, max_length=bound):
         expected.setdefault(p.length, Counter())[(p.source, p.target)] += 1
     assert dict(enumerate(path_counts(q, max_length=bound))) == {k: dict(c) for k, c in expected.items()}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), ends=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=7))
+@example(n=1, ends=[(0, 0)])  # a loop
+@example(n=2, ends=[(0, 1), (0, 1)])  # parallel arrows, no cycle
+@example(n=3, ends=[(0, 1), (0, 1), (1, 2), (2, 0)])  # parallel arrows on a cycle
+def test_acyclic_iff_no_closed_path_within_the_vertex_count(n, ends):
+    """Quiver.acyclic is true exactly when no (v, v) appears in layers 1..|Q0| of the path
+    counts, since every cycle contains one of at most |Q0| arrows.  Loops and parallel
+    arrows are drawn."""
+    ends = [(s % n, t % n) for s, t in ends]
+    q = Quiver([f"v{i}" for i in range(n)], [Arrow(f"a{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(ends)])
+    layers = path_counts(q, max_length=n)[1:]
+    assert q.acyclic is not any((v, v) in layer for layer in layers for v in q.vertices)
 
 
 def test_path_counts_unbounded_on_a_cycle_raises():

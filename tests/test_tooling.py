@@ -1,7 +1,9 @@
 """Guards on the repository's tooling: every function the benchmark traces still
-exists, and the package imports nothing outside the standard library."""
+exists, the package imports nothing outside the standard library, and its modules
+import one another without a cycle."""
 
 import ast
+import graphlib
 import importlib.util
 import sys
 from pathlib import Path as FsPath
@@ -46,3 +48,32 @@ def test_the_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "quiverh1", f"{path.name} imports {name}"
     assert "\ndependencies = []\n" in (ROOT / "pyproject.toml").read_text()
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each quiverh1 module (``__init__`` for the package) -> the package modules it
+    imports anywhere in its source: at the top, inside a function or under TYPE_CHECKING."""
+    sources = {path.stem: path for path in (ROOT / "src" / "quiverh1").glob("*.py")}
+
+    def module(dotted: str) -> str:
+        return dotted if dotted in sources else "__init__"
+
+    graph = {}
+    for name, path in sources.items():
+        deps = graph.setdefault(name, set())
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update(module(node.module) if node.module else module(alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "quiverh1":
+                deps.add(module(node.module.partition(".")[2]))
+            elif isinstance(node, ast.Import):
+                deps.update(module(alias.name.partition(".")[2]) for alias in node.names
+                            if alias.name.split(".")[0] == "quiverh1")
+    return graph
+
+
+def test_the_package_modules_import_one_another_without_a_cycle():
+    graph = _package_imports()
+    assert {"presentations", "exactalg"} <= graph["formulas"]  # the edges are found
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert graph["presentations"] == {"errors", "quiver"}
