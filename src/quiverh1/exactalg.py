@@ -3,7 +3,10 @@
 Everything runs over the exact rationals by default; a prime-field mode
 (``prime=p``) exists as a cross-check and for speed.  All cohomology
 dimensions are obtained from exact ranks of sparse coboundary/Leibniz
-systems, never from floating point.
+systems, never from floating point.  H^1 is found twice, from unrelated
+systems: derivations modulo inner ones on all of the algebra (``h1_oracle``),
+and the E-relative normalised bar complex on chains of radical basis
+elements (``bar_cohomology_dims``, degrees 0-2).
 
 Sparse conventions: a matrix row is a dict column -> nonzero scalar.  An
 algebra multiplies basis elements to a basis element or zero, so the action
@@ -21,7 +24,7 @@ from typing import Iterable, Optional
 
 from .errors import GuardExceeded, NotApplicable
 from .presentations import Combo, StructureConstantAlgebra
-from .quiver import PathBasis
+from .quiver import PathBasis, VertexId
 
 Row = dict  # column -> scalar
 
@@ -289,74 +292,85 @@ def h1_oracle(x: BimoduleRep, prime: Optional[int] = None) -> int:
 # --- bar complex -------------------------------------------------------------
 
 
-def _bar_coboundary_rows(x: BimoduleRep, n: int):
-    """Sparse rows of the coboundary C^n -> C^{n+1} of the standard cochain complex.
+def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, list[Row]]:
+    """dim C^n and the sparse rows of the coboundary C^n -> C^{n+1} of the E-relative
+    normalised complex C^n = Hom_{E-E}(r^(tensor_E n), X).
 
-    C^n = Hom(Lambda^(tensor n), X); an unknown of C^n is (b_1, ..., b_n, m)
-    flattened in lexicographic order; a row is one component of the value on an
-    (n+1)-tuple of basis elements.
+    An unknown of C^n is a chain (s, r_1 ... r_n, t) of non-idempotent basis elements
+    from s to t (the empty chain at v when n = 0) and an x_m in the slice e_s X e_t.  A
+    row is one component of the value on a chain a_1 ... a_{n+1}: a_1.f(a_2, ...) +
+    sum (-1)^i f(..., a_i a_{i+1}, ...) + (-1)^(n+1) f(..., a_n).a_{n+1}, where a term
+    whose product is zero is dropped.  Endpoints of the basis are read off the table
+    (e_s b = b = b e_t), and the slice of x_m off the idempotents' actions.
     """
-    alg = x.algebra
-    d, dx = alg.dimension, x.dim
-
-    def unk(tup: tuple[int, ...], m: int) -> int:
-        idx = 0
-        for b in tup:
-            idx = idx * d + b
-        return idx * dx + m
-
-    def tuples(k: int):
-        if k == 0:
-            yield ()
-            return
-        for t in tuples(k - 1):
-            for b in range(d):
-                yield t + (b,)
-
+    alg, vertex = x.algebra, {e: v for v, e in x.algebra.vertex_idempotents.items()}
+    src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
+    tgt = {i: vertex[j] for (i, j), k in alg.table.items() if j in vertex and k == i}
+    for (i, j), k in alg.table.items():
+        if k in vertex and i not in vertex and j not in vertex:
+            raise NotApplicable(f"the product of {alg.basis[i]} and {alg.basis[j]} is an idempotent")
+    slices = {(s, t): sorted(x.left[es].keys() & x.right[et].keys())  # the x_m in e_s X e_t
+              for es, s in vertex.items() for et, t in vertex.items()}
+    pos = {m: p for group in slices.values() for p, m in enumerate(group)}
+    starting: dict[VertexId, list[int]] = {}
+    for b in sorted(src.keys() - vertex.keys()):
+        starting.setdefault(src[b], []).append(b)
+    chains = [(v, (), v) for v in alg.vertex_idempotents]
+    for _ in range(n):
+        chains = [(s, c + (b,), tgt[b]) for s, c, t in chains for b in starting.get(t, ())]
+    offset, cols = {}, 0
+    for s, c, t in chains:
+        offset[(s, c, t)] = cols
+        cols += len(slices[(s, t)])
     rows: list[Row] = []
-    for args in tuples(n + 1):
-        by_row: dict[int, Row] = {}
-        # a_1 . f(a_2, ..., a_{n+1})
-        first, rest = args[0], args[1:]
-        for j, m in x.left[first].items():
-            _add(by_row, m, unk(rest, j), 1)
-        # alternating inner terms f(..., a_i a_{i+1}, ...)
-        sign = -1
-        for i in range(n):
-            k = alg.table.get((args[i], args[i + 1]))
-            if k is not None:
-                tup = args[:i] + (k,) + args[i + 2 :]
-                for m in range(dx):
-                    _add(by_row, m, unk(tup, m), sign)
-            sign = -sign
-        # (-1)^{n+1} f(a_1, ..., a_n) . a_{n+1}
-        last_sign = -1 if (n + 1) % 2 else 1
-        head = args[:n]
-        for j, m in x.right[args[-1]].items():
-            _add(by_row, m, unk(head, j), last_sign)
-        rows.extend(r for r in by_row.values() if r)
-    return rows
+    for s, c, t in chains:
+        for b in starting.get(t, ()):
+            args, end = c + (b,), tgt[b]
+            # a term: the action applied to f's value (None: none), the chain f is read on, the sign
+            terms = [(x.left[args[0]], (tgt[args[0]], args[1:], end), 1)]
+            for i in range(n):
+                k = alg.table.get((args[i], args[i + 1]))
+                if k is not None:
+                    terms.append((None, (s, args[:i] + (k,) + args[i + 2 :], end), (-1) ** (i + 1)))
+            terms.append((x.right[b], (s, c, t), (-1) ** (n + 1)))
+            by_row: dict[int, Row] = {}
+            for op, key, sign in terms:
+                for j in slices[(key[0], key[2])]:
+                    m = j if op is None else op.get(j)
+                    if m is not None:
+                        _add(by_row, m, offset[key] + pos[j], sign)
+            rows.extend(r for r in by_row.values() if r)
+    return cols, rows
 
 
 def bar_cohomology_dims(
     x: BimoduleRep, degrees: tuple[int, ...], prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
 ) -> dict[int, int]:
-    """Hochschild cohomology at each of the degrees (0, 1 or 2) from the standard
-    cochain complex; each coboundary needed is assembled and ranked once."""
+    """Hochschild cohomology at each of the degrees (0, 1 or 2); each coboundary needed
+    is assembled and ranked once.
+
+    Theorem (Happel 1989; Cibils 2000): E = kQ_0 is separable over every field, so
+    for Lambda = E + r the complex Hom_{E-E}(r^(tensor_E n), X) computes HH^n(Lambda, X).
+    Precondition, raised as NotApplicable when it fails: r, the span of the
+    non-idempotent basis elements, is closed under products, that is no product of
+    two of them is an idempotent.  It holds for path, monomial, truncated and
+    incidence algebras.
+    """
     if not set(degrees) <= {0, 1, 2}:
         raise ValueError("degree must be 0, 1 or 2")
-    d, dx = x.algebra.dimension, x.dim
+    d = x.algebra.dimension
     if 2 in degrees and d > max_dim:
         raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
-    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1)), with dim C^n = d^n * dx
-    ranks = {-1: 0}
+    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1))
+    cols, ranks = {}, {-1: 0}
     for m in sorted({m for n in degrees for m in (n - 1, n) if m >= 0}):
-        ranks[m] = rank(_bar_coboundary_rows(x, m), prime=prime)
-    return {n: d**n * dx - ranks[n] - ranks[n - 1] for n in degrees}
+        cols[m], rows = _bar_coboundary_rows(x, m)
+        ranks[m] = rank(rows, prime=prime)
+    return {n: cols[n] - ranks[n] - ranks[n - 1] for n in degrees}
 
 
 def bar_cohomology_dim(
     x: BimoduleRep, degree: int, prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
 ) -> int:
-    """Hochschild cohomology at degree 0, 1 or 2 from the standard cochain complex."""
+    """Hochschild cohomology at degree 0, 1 or 2 from the E-relative normalised complex."""
     return bar_cohomology_dims(x, (degree,), prime=prime, max_dim=max_dim)[degree]

@@ -22,7 +22,6 @@ from .errors import NotApplicable, FormulaUnavailable
 from .exactalg import center_dim
 from .presentations import (
     AlgebraPresentation,
-    MonomialIdeal,
     _generator_spans,
     build_algebra,
     is_pregenerated_monomial,
@@ -36,7 +35,6 @@ from .quiver import (
     VertexId,
     arrow_path,
     connected_components,
-    is_acyclic,
     is_narrow,
     path_counts,
 )
@@ -203,15 +201,6 @@ def h1_tensor_coefficients(quiver: Quiver, X: BimoduleSliceData) -> int:
     n_arrows = Counter((a.source, a.target) for a in quiver.arrows)
     weighted = sum(n * X.slice_dims.get(pair, 0) for pair, n in n_arrows.items())
     return X.dim_X_T - X.dim_X_E + weighted
-
-
-def h1_bound_monomial(quiver: Quiver, Z: MonomialIdeal) -> int:
-    """The lower bound 1 - |Q0| + |Q1| for a connected acyclic monomial instance."""
-    if len(connected_components(quiver)) != 1:
-        raise NotApplicable("bound requires a connected quiver")
-    if not is_acyclic(quiver):
-        raise NotApplicable("bound requires an acyclic quiver")
-    return 1 - len(quiver.vertices) + len(quiver.arrows)
 
 
 FORMULAS = (h1_path_algebra_acyclic, h1_truncated_acyclic, h1_monomial_acyclic, h1_pregenerated)

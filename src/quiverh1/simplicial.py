@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 from .errors import InvalidPoset
 from .exactalg import Row, h1_oracle, rank, regular_bimodule
 from .presentations import StructureConstantAlgebra
-from .quiver import Arrow, Quiver
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,6 @@ def validate_poset(p: Poset) -> Poset:
             if (b, c) in p.relation and (a, c) not in p.relation:
                 raise InvalidPoset(f"transitivity violation: {a!r} <= {b!r} <= {c!r}")
     return p
-
-
-def hasse_quiver(p: Poset) -> Quiver:
-    """One arrow from x to y for each cover x > y."""
-    arrows = [Arrow(f"{x}>{y}", x, y) for (x, y) in p.covers()]
-    return Quiver(p.elements, arrows)
 
 
 def incidence_algebra(p: Poset) -> StructureConstantAlgebra:

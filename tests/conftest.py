@@ -4,8 +4,13 @@ from typing import Optional
 
 import pytest
 
-from quiverh1.quiver import Arrow, ParallelPair, Path, Quiver, VertexId, arrow_path, connected_components, trivial_path
+from quiverh1.errors import NotApplicable
+from quiverh1.exactalg import _add, rank
+from quiverh1.quiver import (
+    Arrow, ParallelPair, Path, Quiver, VertexId, arrow_path, connected_components, is_acyclic, trivial_path,
+)
 from quiverh1.presentations import MonomialIdeal, _generator_spans, basis_B, check_minimal
+from quiverh1.simplicial import Poset
 
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
 
@@ -139,6 +144,86 @@ def product_basis(alg, i: int, j: int) -> dict[int, int]:
     """b_i * b_j as a sparse combination: {k: 1}, or {} when it is zero."""
     k = alg.table.get((i, j))
     return {} if k is None else {k: 1}
+
+
+def h1_bound_monomial(quiver: Quiver, Z: MonomialIdeal) -> int:
+    """The lower bound 1 - |Q0| + |Q1| for a connected acyclic monomial instance."""
+    if len(connected_components(quiver)) != 1:
+        raise NotApplicable("bound requires a connected quiver")
+    if not is_acyclic(quiver):
+        raise NotApplicable("bound requires an acyclic quiver")
+    return 1 - len(quiver.vertices) + len(quiver.arrows)
+
+
+def hasse_quiver(p: Poset) -> Quiver:
+    """One arrow from x to y for each cover x > y."""
+    arrows = [Arrow(f"{x}>{y}", x, y) for (x, y) in p.covers()]
+    return Quiver(p.elements, arrows)
+
+
+# --- the standard cochain complex that the E-relative bar complex replaced ----
+
+
+def _full_bar_coboundary_rows(x, n: int):
+    """Sparse rows of the coboundary C^n -> C^{n+1} of the standard cochain complex.
+
+    C^n = Hom(Lambda^(tensor n), X); an unknown of C^n is (b_1, ..., b_n, m)
+    flattened in lexicographic order; a row is one component of the value on an
+    (n+1)-tuple of basis elements.
+    """
+    alg = x.algebra
+    d, dx = alg.dimension, x.dim
+
+    def unk(tup: tuple[int, ...], m: int) -> int:
+        idx = 0
+        for b in tup:
+            idx = idx * d + b
+        return idx * dx + m
+
+    def tuples(k: int):
+        if k == 0:
+            yield ()
+            return
+        for t in tuples(k - 1):
+            for b in range(d):
+                yield t + (b,)
+
+    rows = []
+    for args in tuples(n + 1):
+        by_row: dict = {}
+        # a_1 . f(a_2, ..., a_{n+1})
+        first, rest = args[0], args[1:]
+        for j, m in x.left[first].items():
+            _add(by_row, m, unk(rest, j), 1)
+        # alternating inner terms f(..., a_i a_{i+1}, ...)
+        sign = -1
+        for i in range(n):
+            k = alg.table.get((args[i], args[i + 1]))
+            if k is not None:
+                tup = args[:i] + (k,) + args[i + 2 :]
+                for m in range(dx):
+                    _add(by_row, m, unk(tup, m), sign)
+            sign = -sign
+        # (-1)^{n+1} f(a_1, ..., a_n) . a_{n+1}
+        last_sign = -1 if (n + 1) % 2 else 1
+        head = args[:n]
+        for j, m in x.right[args[-1]].items():
+            _add(by_row, m, unk(head, j), last_sign)
+        rows.extend(r for r in by_row.values() if r)
+    return rows
+
+
+def reference_bar_rows(x) -> list:
+    """The coboundaries C^0 -> C^1, C^1 -> C^2 and C^2 -> C^3 of the standard complex."""
+    return [_full_bar_coboundary_rows(x, n) for n in range(3)]
+
+
+def reference_bar_dims(x, prime: Optional[int] = None, rows: Optional[list] = None) -> dict[int, int]:
+    """H^0, H^1 and H^2 with coefficients in x from the standard complex, with
+    dim C^n = d^n * dim x; rows, when given, are ``reference_bar_rows(x)``."""
+    d = x.algebra.dimension
+    ranks = [0] + [rank(r, prime=prime) for r in rows or reference_bar_rows(x)]
+    return {n: d**n * x.dim - ranks[n + 1] - ranks[n] for n in range(3)}
 
 
 # --- the avoidance automaton that basis_B's cycle detection replaced ----------

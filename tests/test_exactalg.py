@@ -3,10 +3,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiverh1.errors import GuardExceeded, NotApplicable
+from quiverh1.cli import parse
+from quiverh1.errors import GuardExceeded, InfiniteBasis, NotApplicable
 from quiverh1.exactalg import (
     BimoduleRep,
     bar_cohomology_dim,
@@ -32,9 +33,10 @@ from quiverh1.quiver import Arrow, Quiver, compose
 from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
-    a2, a3, branch, cycle, fib_dag, kronecker, path_of, product_basis, random_connected_dag, random_minimal_ideal,
+    FIXTURE_DIR, a2, a3, branch, cycle, fib_dag, fixture_text, kronecker, path_of, product_basis,
+    random_connected_dag, random_minimal_ideal, reference_bar_dims, reference_bar_rows,
 )
-from test_presentations import _outcome, _seeded_algebra
+from test_presentations import _outcome, _seeded_algebra, random_cycle_instance
 
 
 def semisimple(n: int):
@@ -308,9 +310,7 @@ def test_bar_dims_rank_each_coboundary_once(monkeypatch):
         build_algebra(AlgebraPresentation(cycle(3), TruncationIdeal(2))),
     ):
         rep = regular_bimodule(alg)
-        d = alg.dimension
-        ranks = [exactalg.rank(real(rep, n)) for n in range(3)]
-        expected = {0: d - ranks[0], 1: d * d - ranks[0] - ranks[1], 2: d**3 - ranks[1] - ranks[2]}
+        expected = reference_bar_dims(rep)
         assembled.clear()
         assert bar_cohomology_dims(rep, (0, 1, 2)) == expected
         assert assembled == [0, 1, 2]
@@ -318,6 +318,82 @@ def test_bar_dims_rank_each_coboundary_once(monkeypatch):
         assert bar_cohomology_dims(rep, (2,)) == {2: expected[2]}
     with pytest.raises(ValueError):
         bar_cohomology_dims(rep, (1, 3))
+
+
+def truncated_polynomials(m: int):
+    """k[x]/(x^m) as one loop truncated at m."""
+    return build_algebra(AlgebraPresentation(Quiver(["v"], [Arrow("x", "v", "v")]), TruncationIdeal(m)))
+
+
+@pytest.fixture(scope="module")
+def bar_algebras(monomial_instances):
+    """Every algebra of dimension <= 12 among the 100 seeded acyclic instances, 120 draws
+    of ``random_cycle_instance`` under ``random.Random(11)``, the truncated n-cycles with
+    n, m <= 5, k[x]/(x^m) for m = 2..7 and every fixture, both posets included."""
+    algs = [build_algebra(AlgebraPresentation(q, Z)) for q, Z in monomial_instances]
+    rng = random.Random(11)
+    presentations = [AlgebraPresentation(*random_cycle_instance(rng)) for _ in range(120)]
+    presentations += [AlgebraPresentation(cycle(n), TruncationIdeal(m)) for n in range(1, 6) for m in range(2, 6)]
+    for path in sorted(FIXTURE_DIR.iterdir()):
+        doc = parse(fixture_text(path.name))
+        if doc.kind == "poset":
+            algs.append(incidence_algebra(doc.body))
+        else:
+            presentations.append(doc.body)
+    for p in presentations:
+        try:
+            algs.append(build_algebra(p))
+        except InfiniteBasis:
+            pass
+    algs += [truncated_polynomials(m) for m in range(2, 8)]
+    return [alg for alg in algs if alg.dimension <= 12]
+
+
+def test_bar_dims_match_the_standard_complex(bar_algebras):
+    """Over Q, F_2, F_3 and F_5."""
+    assert len(bar_algebras) >= 100
+    for alg in bar_algebras:
+        rep = regular_bimodule(alg)
+        rows = reference_bar_rows(rep)
+        for prime in (None, 2, 3, 5):
+            assert bar_cohomology_dims(rep, (0, 1, 2), prime=prime) == reference_bar_dims(rep, prime, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence", "quotient"]),
+    seed=st.integers(0, 2**32 - 1),
+    prime=st.sampled_from([None, 2, 3, 5]),
+)
+def test_bar_dims_match_the_standard_complex_on_seeded_bimodules(family, seed, prime):
+    """Over the regular bimodule, and over kQ/I as a bimodule over an acyclic kQ."""
+    if family == "quotient":
+        rng = random.Random(seed)
+        q = random_connected_dag(rng, max_vertices=3, max_arrows=4)
+        kq = build_algebra(AlgebraPresentation(q))
+        rep = quotient_bimodule(kq, build_algebra(AlgebraPresentation(q, random_minimal_ideal(rng, q))))
+    else:
+        rep = regular_bimodule(_seeded_algebra(family, seed))
+    assume(rep.algebra.dimension <= 12)
+    assert bar_cohomology_dims(rep, (0, 1, 2), prime=prime) == reference_bar_dims(rep, prime=prime)
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 5])
+def test_bar_dims_of_truncated_polynomials_depend_on_the_characteristic(prime):
+    """(H^0, H^1, H^2) of k[x]/(x^m) is (m, m - 1, m - 1), or (m, m, m) when p divides m."""
+    for m in range(2, 8):
+        h = m if prime and m % prime == 0 else m - 1
+        assert bar_cohomology_dims(regular_bimodule(truncated_polynomials(m)), (0, 1, 2), prime=prime) == {
+            0: m, 1: h, 2: h}
+    six = bar_cohomology_dims(regular_bimodule(truncated_polynomials(6)), (0, 1, 2), prime=prime)
+    assert six == ({0: 6, 1: 6, 2: 6} if prime in (2, 3) else {0: 6, 1: 5, 2: 5})
+
+
+def test_bar_complex_needs_the_radical_closed_under_products():
+    """k[x]/(x^2 - 1) on the basis 1, x: x * x is the idempotent 1."""
+    alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {0: 1}, {"v": 0}).check()
+    with pytest.raises(NotApplicable, match="is an idempotent"):
+        bar_cohomology_dims(regular_bimodule(alg), (0, 1))
 
 
 # --- index-map actions against the column operators they replaced -------------

@@ -13,7 +13,6 @@ from quiverh1.formulas import (
     H1Report,
     classify_and_compute,
     effective_pairs,
-    h1_bound_monomial,
     h1_monomial_acyclic,
     h1_narrow,
     h1_path_algebra_acyclic,
@@ -45,6 +44,7 @@ from conftest import (
     fib_dag,
     fixture_text,
     glued_pairs,
+    h1_bound_monomial,
     kronecker,
     parallel_pairs,
     path_of,

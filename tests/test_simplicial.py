@@ -11,13 +11,14 @@ from quiverh1.quiver import is_narrow
 from quiverh1.simplicial import (
     Poset,
     gs_compare,
-    hasse_quiver,
     incidence_algebra,
     order_complex,
     simplicial_h_dim,
     validate_poset,
     _coboundary,
 )
+
+from conftest import hasse_quiver
 
 
 def chain(n: int) -> Poset:
