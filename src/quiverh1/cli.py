@@ -16,7 +16,8 @@ File grammar (line-oriented, '#' starts a comment):
     relation <a> <= <b>
     end
 
-Exit statuses: 0 success/agreement, 1 mismatch, 2 input error, 3 unsupported.
+Exit statuses: 0 success/agreement, 1 mismatch (of two methods, or a failed
+``*_matches`` cross-check such as the bar complex's), 2 input error, 3 unsupported.
 When no formula applies to a presentation, ``check`` still prints the oracle's
 report, then the "formula unavailable" error, and exits 3 (or with the
 oracle's own error and status, when the oracle fails too).  On a poset,
@@ -71,8 +72,8 @@ class RunReport:
 
     @property
     def agree(self) -> bool:
-        values = set(self.methods.values())
-        return len(values) <= 1
+        """Every method gives one number and every ``*_matches`` cross-check holds."""
+        return len(set(self.methods.values())) <= 1 and all(v for k, v in self.checks.items() if k.endswith("_matches"))
 
     def to_json(self) -> dict:
         dims = list(self.methods.values())

@@ -23,8 +23,8 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .errors import GuardExceeded, NotApplicable
-from .presentations import Combo, StructureConstantAlgebra
-from .quiver import PathBasis, VertexId
+from .presentations import Combo, StructureConstantAlgebra, composite_failures
+from .quiver import VertexId
 
 Row = dict  # column -> scalar
 
@@ -116,17 +116,6 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
 # --- bimodules ---------------------------------------------------------------
 
 
-def _composite_failures(ops, at: dict, table: dict) -> set:
-    """The pairs (i, j) where ops[j] then ops[i] differs from ops[table[(i, j)]] (absent:
-    zero), compared at each m with ops[j][m] = n, i in at[n], or m in ops[table[(i, j)]]."""
-    products = {ij: ops[k] for ij, k in table.items()}
-    bad = {(i, j) for j, op in enumerate(ops) for m, n in op.items() for i in at.get(n, ())
-           if ops[i][n] != products.get((i, j), {}).get(m)}
-    bad.update(ij for ij, op in products.items() for m, n in op.items()
-               if ops[ij[0]].get(ops[ij[1]].get(m)) != n)
-    return bad
-
-
 def _combo(ops, combo: Combo) -> dict:
     """The operator sum of c * ops[k] over combo, as {(m, n): nonzero coefficient}."""
     out: dict = {}
@@ -155,12 +144,11 @@ class BimoduleRep:
         Each test at a pair (i, j) compares two index maps entry by entry, so it is
         a statement about the triples (i, j, m): b_i.(b_j.x_m) = (b_i b_j).x_m
         (left), (x_m.b_i).b_j = x_m.(b_i b_j) (right) and b_i.(x_m.b_j) =
-        (b_i.x_m).b_j (commute).  A side is nonzero only on a triple found from the
-        table (b_i b_j = b_k and m in the domain of left[k] or right[k]) or from the
-        inverted domain indexes (an image n of one map in the domain of the other);
-        on every other triple both sides are zero.  Only those triples are compared,
-        and the least failing (i, j, test), left before right before commute, is the
-        first failure of the loop over all d^2 pairs."""
+        (b_i.x_m).b_j (commute).  The first two are ``composite_failures`` of each
+        action, the right one on the opposite table; commuting is compared on the
+        triples where an image n of one map is in the domain of the other, the only
+        ones where a side is nonzero.  The least failing (i, j, test), left before
+        right before commute, is the first failure of the loop over all d^2 pairs."""
         alg = self.algebra
         left_at: dict[int, list[int]] = {}  # n -> every b with n in the domain of left[b]
         right_at: dict[int, list[int]] = {}  # likewise for right[b]
@@ -169,8 +157,8 @@ class BimoduleRep:
                 for n in op:
                     at.setdefault(n, []).append(b)
         left, right = self.left, self.right
-        failures = [(i, j, 0) for i, j in _composite_failures(left, left_at, alg.table)]
-        failures += [(i, j, 1) for j, i in _composite_failures(right, right_at, alg.opposite().table)]
+        failures = [(i, j, 0) for i, j, _ in composite_failures(left, alg.table)]
+        failures += [(i, j, 1) for j, i, _ in composite_failures(right, alg.opposite().table)]
         failures += [(i, j, 2) for j, op in enumerate(right) for m, n in op.items() for i in left_at.get(n, ())
                      if left[i][n] != right[j].get(left[i].get(m))]
         failures += [(i, j, 2) for i, op in enumerate(left) for m, n in op.items() for j in right_at.get(n, ())
@@ -194,32 +182,6 @@ def regular_bimodule(algebra: StructureConstantAlgebra) -> BimoduleRep:
         left[i][j] = k
         right[j][i] = k
     return BimoduleRep(algebra, d, tuple(left), tuple(right)).validate()
-
-
-def quotient_bimodule(path_algebra: StructureConstantAlgebra,
-                      quotient: StructureConstantAlgebra) -> BimoduleRep:
-    """The quotient algebra as a bimodule over the path algebra.
-
-    Both algebras must carry path bases over the same quiver; the action is
-    multiplication followed by projection onto the surviving basis paths, read
-    off the quotient basis's concatenation lookup.
-    """
-    if path_algebra.basis_paths is None or quotient.basis_paths is None:
-        raise NotApplicable("quotient bimodule needs path bases on both algebras")
-    paths, quot = PathBasis(path_algebra.basis_paths), PathBasis(quotient.basis_paths)
-    left: list[dict] = [{} for _ in paths]
-    right: list[dict] = [{} for _ in paths]
-    for b, p in enumerate(paths):  # p . x_j
-        for j in quot.starting.get(p.target, ()):
-            k = quot.find(p, quot[j])
-            if k is not None:
-                left[b][j] = k
-    for j, x in enumerate(quot):  # x_j . p
-        for b in paths.starting.get(x.target, ()):
-            k = quot.find(x, paths[b])
-            if k is not None:
-                right[b][j] = k
-    return BimoduleRep(path_algebra, quotient.dimension, tuple(left), tuple(right)).validate()
 
 
 # --- oracles -----------------------------------------------------------------

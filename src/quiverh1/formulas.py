@@ -1,8 +1,8 @@
 """Closed-form dimension formulas for the first Hochschild cohomology.
 
 Covers: path algebras of acyclic quivers, monomial algebras with acyclic
-quiver (via the effective-couple count), truncated algebras, narrow quivers,
-pre-generated ideals, and the tensor-coefficients formula for bimodules over
+quiver (via the effective-couple count), truncated algebras, pre-generated
+ideals, and the tensor-coefficients formula for bimodules over
 a path algebra.  ``FORMULAS`` holds the dispatch rows in order; each takes a
 presentation and raises NotApplicable, with its reason, when its precondition fails.
 
@@ -35,7 +35,6 @@ from .quiver import (
     VertexId,
     arrow_path,
     connected_components,
-    is_narrow,
     path_counts,
 )
 
@@ -144,17 +143,6 @@ def h1_monomial_acyclic(presentation: AlgebraPresentation) -> H1Report:
         sum(d for _, d in per), "monomial_acyclic", per,
         {"n_effective": len(cls.effective), "n_couples": len(cls.all), "n_vertices": len(q.vertices),
          "n_non_effective": len(cls.non_effective)},
-    )
-
-
-def h1_narrow(quiver: Quiver) -> H1Report:
-    """1 - |Q0| + |Q1| per component; valid for any admissible monomial ideal."""
-    if not is_narrow(quiver):
-        raise NotApplicable("not narrow")
-    per = _per_component(quiver, Counter(a.name for a in quiver.arrows))
-    return H1Report(
-        sum(d for _, d in per), "narrow", per,
-        {"n_vertices": len(quiver.vertices), "n_arrows": len(quiver.arrows)},
     )
 
 

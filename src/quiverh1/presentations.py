@@ -231,35 +231,23 @@ class StructureConstantAlgebra:
     def check(self) -> "StructureConstantAlgebra":
         """Assert associativity on all basis triples and the unit/idempotent axioms.
 
-        Work is in proportion to the triples where a side is nonzero.  With the
-        table grouped into rows (rows[i][j] = k for b_i b_j = b_k) and factors
-        (factors[m] = every (j, k) with b_j b_k = b_m), (b_i b_j) b_k is nonzero
-        only for j in rows[i] and k in rows[rows[i][j]], and b_i (b_j b_k) only
-        for (j, k) in factors[m] with m in rows[i].  On every other triple both
-        sides are zero, so comparing these tests the same property as the loop
-        over all d^3 triples, and the lexicographically least failing triple is
-        the one that loop reports first.  The unit and orthogonality axioms read
-        the table and the rows too, not d products or |Q0|^2 pairs.
+        The rows of the table (rows[i][j] = k for b_i b_j = b_k) are the left regular
+        action, so associativity at (i, j, k) is its composite identity at that triple,
+        and the least of ``composite_failures`` is the first failure of the loop over all
+        d^3 triples.  The unit and orthogonality axioms read the table and the rows too.
         """
-        rows: dict[int, dict[int, int]] = {}
-        factors: dict[int, list[tuple[int, int]]] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(self.dimension)]
         by_unit: tuple[dict, dict] = ({}, {})  # [0][j] = unit * b_j, [1][i] = b_i * unit, zeros kept
         for (i, j), k in self.table.items():
-            rows.setdefault(i, {})[j] = k
-            factors.setdefault(k, []).append((i, j))
+            rows[i][j] = k
             for side, b, u in ((by_unit[0], j, i), (by_unit[1], i, j)):
                 if u in self.unit:
                     acc = side.setdefault(b, {})
                     acc[k] = acc.get(k, 0) + self.unit[u]
-        for i in sorted(rows):
-            row_i = rows[i]
-            triples = [(j, k) for j, l in row_i.items() for k in rows.get(l, ())]
-            triples += [jk for m in row_i for jk in factors.get(m, ())]
-            bad = [(j, k) for j, k in triples
-                   if rows.get(row_i.get(j), {}).get(k) != row_i.get(rows.get(j, {}).get(k))]
-            if bad:
-                j, k = min(bad)
-                raise AssertionError(f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})")
+        bad = composite_failures(rows, self.table)
+        if bad:
+            i, j, k = min(bad)
+            raise AssertionError(f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})")
         for i in range(self.dimension):
             if any({k: c for k, c in side.get(i, {}).items() if c} != {i: 1} for side in by_unit):
                 raise AssertionError(f"unit failure at {self.basis[i]}")
@@ -272,12 +260,30 @@ class StructureConstantAlgebra:
             total[i] = total.get(i, 0) + 1
             positions.setdefault(i, []).append(p)
         for p, (v, i) in enumerate(idems):
-            others = [q for j in rows.get(i, ()) for q in positions.get(j, ()) if q != p]
+            others = [q for j in rows[i] for q in positions.get(j, ()) if q != p]
             if others:
                 raise AssertionError(f"idempotents {v}, {idems[min(others)][0]} are not orthogonal")
         if total != self.unit:
             raise AssertionError("vertex idempotents do not sum to the unit")
         return self
+
+
+def composite_failures(ops, table: dict) -> set[tuple[int, int, int]]:
+    """The triples (i, j, m) where ops[j] then ops[i] differs from ops[table[(i, j)]] at m,
+    for index maps ops[b] (m -> n; absent keys and pairs are zero).  A side is nonzero only
+    where ops[j][m] is in the domain of ops[i], found from an index of the domains, or where
+    m is in the domain of ops[table[(i, j)]]; elsewhere both are zero, so these triples
+    fail exactly where the loop over all triples does."""
+    at: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        for n in op:
+            at.setdefault(n, []).append(i)
+    products = {ij: ops[k] for ij, k in table.items()}
+    bad = {(i, j, m) for j, op in enumerate(ops) for m, n in op.items() for i in at.get(n, ())
+           if ops[i][n] != products.get((i, j), {}).get(m)}
+    bad.update((i, j, m) for (i, j), op in products.items() for m, n in op.items()
+               if ops[i].get(ops[j].get(m)) != n)
+    return bad
 
 
 def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:

@@ -8,12 +8,11 @@ under the opposite convention.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
-from .errors import InfinitePathSet, InvalidQuiver, NotApplicable
+from .errors import InfinitePathSet, InvalidQuiver
 
 VertexId = str
 
@@ -182,35 +181,29 @@ def reaches_cycle(starts: Iterable[State], step: Callable[[State], Iterable[Stat
 
 
 def connected_components(quiver: Quiver) -> list[Quiver]:
-    """Partition by the underlying undirected graph; components ordered by first vertex."""
-    neighbours: dict[str, set[str]] = {v: set() for v in quiver.vertices}
+    """Partition by the underlying undirected graph; components ordered by first vertex.
+    One search labels each vertex with its component's first vertex, and one pass groups each."""
+    neighbours: dict[str, list[str]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
-        neighbours[a.source].add(a.target)
-        neighbours[a.target].add(a.source)
-    assigned: dict[str, int] = {}
-    comp_order: list[list[str]] = []
+        neighbours[a.source].append(a.target)
+        neighbours[a.target].append(a.source)
+    first: dict[str, str] = {}
     for v in quiver.vertices:
-        if v in assigned:
+        if v in first:
             continue
-        comp = len(comp_order)
-        members: list[str] = []
+        first[v] = v
         stack = [v]
-        assigned[v] = comp
         while stack:
-            u = stack.pop()
-            members.append(u)
-            for w in neighbours[u]:
-                if w not in assigned:
-                    assigned[w] = comp
+            for w in neighbours[stack.pop()]:
+                if w not in first:
+                    first[w] = v
                     stack.append(w)
-        comp_order.append(members)
-    result = []
-    for members in comp_order:
-        vset = set(members)
-        verts = tuple(v for v in quiver.vertices if v in vset)
-        arrs = tuple(a for a in quiver.arrows if a.source in vset)
-        result.append(Quiver(verts, arrs))
-    return result
+    groups: dict[str, tuple[list[str], list[Arrow]]] = {v: ([], []) for v, root in first.items() if v == root}
+    for v in quiver.vertices:
+        groups[first[v]][0].append(v)
+    for a in quiver.arrows:
+        groups[first[a.source]][1].append(a)
+    return [Quiver(vs, arrows) for vs, arrows in groups.values()]
 
 
 def enumerate_paths(quiver: Quiver, max_length: Optional[int] = None) -> list[Path]:
@@ -278,13 +271,3 @@ def path_counts(quiver: Quiver, max_length: Optional[int] = None) -> list[dict[t
             break
         counts.append(nxt)
     return counts
-
-
-def is_narrow(quiver: Quiver) -> bool:
-    """True iff every ordered vertex pair has at most one path (requires acyclicity)."""
-    if not is_acyclic(quiver):
-        raise NotApplicable("narrowness requires acyclicity")
-    totals: Counter = Counter()
-    for layer in path_counts(quiver):
-        totals.update(layer)
-    return all(n <= 1 for n in totals.values())

@@ -4,13 +4,15 @@ cohomology of the chain complex of the poset.
 
 Input relations may be cover pairs or arbitrary comparabilities; the
 reflexive-transitive closure is computed before validation, so hand-written
-files need not list composite relations.
+files need not list composite relations.  The closure is one Warshall pass;
+covers and chains are read off the cached up-sets (``Poset.above``), and the
+incidence algebra multiplies each pair only with the pairs that start at its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidPoset
@@ -27,20 +29,18 @@ class Poset:
 
     @classmethod
     def from_pairs(cls, elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Poset":
+        """The closure of the pairs by one Warshall pass: for each b, every a <= b gains every c >= b."""
         elements = tuple(elements)
-        leq = {(a, a) for a in elements}
+        up = {a: {a} for a in elements}  # up[a] = every c with a <= c, so far
         for a, b in pairs:
-            if a not in elements or b not in elements:
+            if a not in up or b not in up:
                 raise InvalidPoset(f"relation mentions unknown element: {a!r} <= {b!r}")
-            leq.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(leq):
-                for c in elements:
-                    if (b, c) in leq and (a, c) not in leq:
-                        leq.add((a, c))
-                        changed = True
+            up[a].add(b)
+        for b in up:
+            for a in up:
+                if b in up[a]:
+                    up[a] |= up[b]
+        leq = {(a, c) for a in up for c in up[a]}
         for a, b in _in_element_order(elements, leq):
             if a != b and (b, a) in leq:
                 raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
@@ -53,17 +53,16 @@ class Poset:
         """All (y, x) with y <= x, in element order."""
         return _in_element_order(self.elements, self.relation)
 
+    @cached_property
+    def above(self) -> dict[str, tuple[str, ...]]:
+        """The elements strictly above each element, in element order."""
+        return {a: tuple(b for b in self.elements if b != a and (a, b) in self.relation) for a in self.elements}
+
     def covers(self) -> list[tuple[str, str]]:
-        """All (x, y) with x > y and nothing strictly between."""
-        out = []
-        for x in self.elements:
-            for y in self.elements:
-                if x == y or not self.leq(y, x):
-                    continue
-                if any(z != x and z != y and self.leq(y, z) and self.leq(z, x) for z in self.elements):
-                    continue
-                out.append((x, y))
-        return out
+        """All (x, y) with x > y and nothing strictly between (x above no z above y), in element order."""
+        above = self.above
+        return _in_element_order(self.elements, [(x, y) for y in self.elements for x in above[y]
+                                                 if not any(x in above[z] for z in above[y])])
 
 
 def _in_element_order(elements: tuple[str, ...], pairs) -> list[tuple[str, str]]:
@@ -89,14 +88,11 @@ def validate_poset(p: Poset) -> Poset:
 
 
 def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
-    """Basis of comparable pairs, matrix-unit product, unit = sum of diagonals."""
+    """Basis of comparable pairs, matrix-unit product, unit = sum of diagonals; a pair (a, b)
+    is multiplied only with the pairs (b, c) that start at its end."""
     pairs = p.comparable_pairs()
     index = {pair: i for i, pair in enumerate(pairs)}
-    table = {}
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                table[(i, j)] = index[(a, d)]
+    table = {(i, index[(b, c)]): index[(a, c)] for i, (a, b) in enumerate(pairs) for c in (b,) + p.above[b]}
     idem = {e: index[(e, e)] for e in p.elements}
     unit = {i: 1 for i in idem.values()}
     labels = tuple(f"e[{y},{x}]" for (y, x) in pairs)
@@ -114,27 +110,11 @@ class OrderComplex:
 
 
 def order_complex(p: Poset) -> OrderComplex:
-    strict = lambda a, b: a != b and p.leq(a, b)
-    simplices: dict[int, list[tuple[str, ...]]] = {0: [], 1: [], 2: []}
-    simplices[0] = [(e,) for e in p.elements]
-    for a, b in combinations(p.elements, 2):
-        if strict(a, b):
-            simplices[1].append((a, b))
-        elif strict(b, a):
-            simplices[1].append((b, a))
-    for a, b, c in combinations(p.elements, 3):
-        for chain in _orderings((a, b, c), strict):
-            simplices[2].append(chain)
-    for d in simplices:
-        simplices[d].sort()
-    return OrderComplex(simplices)
-
-
-def _orderings(trio, strict):
-    for perm in permutations(trio):
-        if strict(perm[0], perm[1]) and strict(perm[1], perm[2]):
-            yield perm
-            return  # a chain on a fixed set is unique in a poset
+    """The chains a < b and a < b < c, read off the up-sets, each dimension sorted."""
+    above = p.above
+    edges = [(a, b) for a in p.elements for b in above[a]]
+    triangles = [(a, b, c) for a, b in edges for c in above[b]]
+    return OrderComplex({0: sorted((e,) for e in p.elements), 1: sorted(edges), 2: sorted(triangles)})
 
 
 def _coboundary(complex_: OrderComplex, p: int) -> list[Row]:

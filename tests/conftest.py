@@ -1,16 +1,22 @@
 import random
+from collections import Counter
+from itertools import combinations, permutations
 from pathlib import Path as FsPath
 from typing import Optional
 
 import pytest
 
-from quiverh1.errors import NotApplicable
-from quiverh1.exactalg import _add, rank
+from quiverh1.errors import InvalidPoset, NotApplicable
+from quiverh1.exactalg import BimoduleRep, _add, rank
+from quiverh1.formulas import H1Report, _per_component
 from quiverh1.quiver import (
-    Arrow, ParallelPair, Path, Quiver, VertexId, arrow_path, connected_components, is_acyclic, trivial_path,
+    Arrow, ParallelPair, Path, PathBasis, Quiver, VertexId, arrow_path, connected_components, is_acyclic,
+    path_counts, trivial_path,
 )
-from quiverh1.presentations import MonomialIdeal, _generator_spans, basis_B, check_minimal
-from quiverh1.simplicial import Poset
+from quiverh1.presentations import (
+    MonomialIdeal, StructureConstantAlgebra, _generator_spans, basis_B, check_minimal,
+)
+from quiverh1.simplicial import OrderComplex, Poset, _in_element_order
 
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
 
@@ -159,6 +165,161 @@ def hasse_quiver(p: Poset) -> Quiver:
     """One arrow from x to y for each cover x > y."""
     arrows = [Arrow(f"{x}>{y}", x, y) for (x, y) in p.covers()]
     return Quiver(p.elements, arrows)
+
+
+def is_narrow(quiver: Quiver) -> bool:
+    """True iff every ordered vertex pair has at most one path (requires acyclicity)."""
+    if not is_acyclic(quiver):
+        raise NotApplicable("narrowness requires acyclicity")
+    totals: Counter = Counter()
+    for layer in path_counts(quiver):
+        totals.update(layer)
+    return all(n <= 1 for n in totals.values())
+
+
+def h1_narrow(quiver: Quiver) -> H1Report:
+    """1 - |Q0| + |Q1| per component; valid for any admissible monomial ideal."""
+    if not is_narrow(quiver):
+        raise NotApplicable("not narrow")
+    per = _per_component(quiver, Counter(a.name for a in quiver.arrows))
+    return H1Report(
+        sum(d for _, d in per), "narrow", per,
+        {"n_vertices": len(quiver.vertices), "n_arrows": len(quiver.arrows)},
+    )
+
+
+def quotient_bimodule(path_algebra: StructureConstantAlgebra,
+                      quotient: StructureConstantAlgebra) -> BimoduleRep:
+    """The quotient algebra as a bimodule over the path algebra.
+
+    Both algebras must carry path bases over the same quiver; the action is
+    multiplication followed by projection onto the surviving basis paths, read
+    off the quotient basis's concatenation lookup.
+    """
+    if path_algebra.basis_paths is None or quotient.basis_paths is None:
+        raise NotApplicable("quotient bimodule needs path bases on both algebras")
+    paths, quot = PathBasis(path_algebra.basis_paths), PathBasis(quotient.basis_paths)
+    left: list[dict] = [{} for _ in paths]
+    right: list[dict] = [{} for _ in paths]
+    for b, p in enumerate(paths):  # p . x_j
+        for j in quot.starting.get(p.target, ()):
+            k = quot.find(p, quot[j])
+            if k is not None:
+                left[b][j] = k
+    for j, x in enumerate(quot):  # x_j . p
+        for b in paths.starting.get(x.target, ()):
+            k = quot.find(x, paths[b])
+            if k is not None:
+                right[b][j] = k
+    return BimoduleRep(path_algebra, quotient.dimension, tuple(left), tuple(right)).validate()
+
+
+# --- the all-pairs poset and component routes that the up-set ones replaced ----
+
+
+def reference_from_pairs(elements, pairs) -> Poset:
+    """The fixpoint closure: re-scan the pairs until no composite is missing."""
+    elements = tuple(elements)
+    leq = {(a, a) for a in elements}
+    for a, b in pairs:
+        if a not in elements or b not in elements:
+            raise InvalidPoset(f"relation mentions unknown element: {a!r} <= {b!r}")
+        leq.add((a, b))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(leq):
+            for c in elements:
+                if (b, c) in leq and (a, c) not in leq:
+                    leq.add((a, c))
+                    changed = True
+    for a, b in _in_element_order(elements, leq):
+        if a != b and (b, a) in leq:
+            raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
+    return Poset(elements, frozenset(leq))
+
+
+def reference_covers(p: Poset) -> list[tuple[str, str]]:
+    """All (x, y) with x > y and nothing strictly between, testing every pair."""
+    out = []
+    for x in p.elements:
+        for y in p.elements:
+            if x == y or not p.leq(y, x):
+                continue
+            if any(z != x and z != y and p.leq(y, z) and p.leq(z, x) for z in p.elements):
+                continue
+            out.append((x, y))
+    return out
+
+
+def reference_order_complex(p: Poset) -> OrderComplex:
+    """Strict chains from every pair, and from every ordering of every triple."""
+    strict = lambda a, b: a != b and p.leq(a, b)
+    simplices: dict[int, list[tuple[str, ...]]] = {0: [], 1: [], 2: []}
+    simplices[0] = [(e,) for e in p.elements]
+    for a, b in combinations(p.elements, 2):
+        if strict(a, b):
+            simplices[1].append((a, b))
+        elif strict(b, a):
+            simplices[1].append((b, a))
+    for a, b, c in combinations(p.elements, 3):
+        for chain in _orderings((a, b, c), strict):
+            simplices[2].append(chain)
+    for d in simplices:
+        simplices[d].sort()
+    return OrderComplex(simplices)
+
+
+def _orderings(trio, strict):
+    for perm in permutations(trio):
+        if strict(perm[0], perm[1]) and strict(perm[1], perm[2]):
+            yield perm
+            return  # a chain on a fixed set is unique in a poset
+
+
+def reference_incidence_table(p: Poset) -> dict[tuple[int, int], int]:
+    """The matrix-unit products of the comparable pairs, testing all d^2 pairs of pairs."""
+    pairs = p.comparable_pairs()
+    index = {pair: i for i, pair in enumerate(pairs)}
+    table = {}
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if b == c:
+                table[(i, j)] = index[(a, d)]
+    return table
+
+
+def reference_connected_components(quiver: Quiver) -> list[Quiver]:
+    """Components by a search from each unassigned vertex, each re-scanning every vertex
+    and arrow."""
+    neighbours: dict[str, set[str]] = {v: set() for v in quiver.vertices}
+    for a in quiver.arrows:
+        neighbours[a.source].add(a.target)
+        neighbours[a.target].add(a.source)
+    assigned: dict[str, int] = {}
+    comp_order: list[list[str]] = []
+    for v in quiver.vertices:
+        if v in assigned:
+            continue
+        comp = len(comp_order)
+        members: list[str] = []
+        stack = [v]
+        assigned[v] = comp
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for w in neighbours[u]:
+                if w not in assigned:
+                    assigned[w] = comp
+                    stack.append(w)
+        comp_order.append(members)
+    result = []
+    for members in comp_order:
+        vset = set(members)
+        verts = tuple(v for v in quiver.vertices if v in vset)
+        arrs = tuple(a for a in quiver.arrows if a.source in vset)
+        result.append(Quiver(verts, arrs))
+    return result
 
 
 # --- the standard cochain complex that the E-relative bar complex replaced ----

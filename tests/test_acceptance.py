@@ -12,7 +12,6 @@ from quiverh1.exactalg import (
     bar_cohomology_dim,
     h1_oracle,
     invariants_dim,
-    quotient_bimodule,
     regular_bimodule,
 )
 from quiverh1.formulas import (
@@ -39,8 +38,11 @@ from conftest import (
     branch,
     crown_quiver,
     cycle,
+    h1_narrow,
+    is_narrow,
     kronecker,
     path_of,
+    quotient_bimodule,
     random_minimal_ideal,
 )
 
@@ -81,9 +83,6 @@ def test_criterion_2_truncated_cycles():
 
 def test_criterion_3_narrow():
     rng = random.Random(41)
-    from quiverh1.formulas import h1_narrow
-    from quiverh1.quiver import is_narrow
-
     instances = [crown_quiver()]
     while len(instances) < 20:
         n = rng.randint(2, 5)

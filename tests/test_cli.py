@@ -402,6 +402,56 @@ def test_check_searches_an_acyclic_monomial_basis_once(monkeypatch, capsys):
         assert len(calls) == 1
     capsys.readouterr()
 
+def test_a_failed_bar_cross_check_is_a_mismatch(capsys, monkeypatch):
+    from quiverh1 import exactalg
+
+    real = exactalg.bar_cohomology_dims
+
+    def h1_off_by_one(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        return {**dims, 1: dims[1] + 1}
+
+    monkeypatch.setattr(exactalg, "bar_cohomology_dims", h1_off_by_one)
+    path = str(FIXTURE_DIR / "kronecker2.quiver")
+    for command in ("oracle", "check"):
+        assert main([command, "--json", path]) == EXIT_MISMATCH
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks["bar_h1_matches"] is False and checks["agree"] is False
+    assert main(["check", path]) == EXIT_MISMATCH
+    assert "agreement: MISMATCH" in capsys.readouterr().out
+
+
+def test_max_dim_decides_which_reports_carry_the_bar_check(tmp_path, capsys):
+    a5 = tmp_path / "a5.quiver"  # the linear A5 path algebra, d = 15
+    a5.write_text("quiver a5\n" + "".join(f"vertex v{i}\n" for i in range(5))
+                  + "".join(f"arrow a{i} v{i} v{i + 1}\n" for i in range(4)) + "end\n")
+    kronecker2 = FIXTURE_DIR / "kronecker2.quiver"
+    bar = {"bar_h0", "bar_h1", "bar_h2", "bar_h1_matches"}
+
+    def checks(path, *flags):
+        assert main(["check", "--json", *flags, str(path)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    assert not bar & set(checks(a5))
+    lifted = checks(a5, "--max-dim", "15")
+    assert bar <= set(lifted) and lifted["bar_h1_matches"] is True
+    assert bar <= set(checks(kronecker2))
+    assert not bar & set(checks(kronecker2, "--max-dim", "0"))
+    assert main(["oracle", "--json", str(a5)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["intermediates"]["dim_algebra"] == 15
+
+
+def test_per_component_prints_each_component(capsys):
+    path = str(FIXTURE_DIR / "two-components.quiver")
+    lines = ("  component v1: 2\n", "  component x: 0\n")
+    assert main(["formula", "--per-component", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert all(line in out for line in lines)
+    assert main(["formula", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert not any(line in out for line in lines)
+
+
 GOLDEN = FsPath(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 

@@ -18,7 +18,6 @@ from quiverh1.exactalg import (
     inner_dim,
     invariants_dim,
     is_prime,
-    quotient_bimodule,
     rank,
     regular_bimodule,
 )
@@ -34,7 +33,7 @@ from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
     FIXTURE_DIR, a2, a3, branch, cycle, fib_dag, fixture_text, kronecker, path_of, product_basis,
-    random_connected_dag, random_minimal_ideal, reference_bar_dims, reference_bar_rows,
+    quotient_bimodule, random_connected_dag, random_minimal_ideal, reference_bar_dims, reference_bar_rows,
 )
 from test_presentations import _outcome, _seeded_algebra, random_cycle_instance
 

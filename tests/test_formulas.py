@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverh1.errors import FormulaUnavailable, InfiniteBasis, NotApplicable
-from quiverh1.exactalg import h1_oracle, invariants_dim, quotient_bimodule, regular_bimodule
+from quiverh1.exactalg import h1_oracle, invariants_dim, regular_bimodule
 from quiverh1.formulas import (
     FORMULAS,
     CoupleClassification,
@@ -14,7 +14,6 @@ from quiverh1.formulas import (
     classify_and_compute,
     effective_pairs,
     h1_monomial_acyclic,
-    h1_narrow,
     h1_path_algebra_acyclic,
     h1_pregenerated,
     h1_tensor_coefficients,
@@ -30,7 +29,7 @@ from quiverh1.presentations import (
     truncation_generators,
 )
 from quiverh1.quiver import (
-    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_acyclic, is_narrow,
+    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_acyclic,
 )
 
 from conftest import (
@@ -45,9 +44,12 @@ from conftest import (
     fixture_text,
     glued_pairs,
     h1_bound_monomial,
+    h1_narrow,
+    is_narrow,
     kronecker,
     parallel_pairs,
     path_of,
+    quotient_bimodule,
     random_connected_dag,
     random_minimal_ideal,
     substitutions,

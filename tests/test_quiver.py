@@ -15,15 +15,14 @@ from quiverh1.quiver import (
     connected_components,
     enumerate_paths,
     is_acyclic,
-    is_narrow,
     path_counts,
     trivial_path,
     validate,
 )
 
 from conftest import (
-    a2, a3, branch, crown_quiver, cycle, dp_path_count, fib_dag, kronecker, parallel_pairs, path_of,
-    random_connected_dag,
+    a2, a3, branch, crown_quiver, cycle, dp_path_count, fib_dag, is_narrow, kronecker, parallel_pairs, path_of,
+    random_connected_dag, reference_connected_components,
 )
 
 
@@ -76,6 +75,20 @@ def test_connected_components_partition():
     arrs = [a.name for c in comps for a in c.arrows]
     assert sorted(verts) == sorted(q.vertices)
     assert sorted(arrs) == sorted(a.name for a in q.arrows)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), order=st.randoms(use_true_random=False),
+       ends=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=10))
+def test_connected_components_match_the_rescanning_search(n, order, ends):
+    """Sparse random arrows (loops and parallel arrows too) over vertices listed in a random
+    order leave several components and isolated vertices; each component has the same
+    vertices and arrows, in the same order, as the search that rescans them all."""
+    verts = [f"v{i}" for i in range(n)]
+    order.shuffle(verts)
+    q = Quiver(verts, [Arrow(f"a{k}", verts[i % n], verts[j % n]) for k, (i, j) in enumerate(ends)])
+    assert ([(c.vertices, c.arrows) for c in connected_components(q)]
+            == [(c.vertices, c.arrows) for c in reference_connected_components(q)])
 
 
 def test_enumerate_paths_a3():

@@ -2,12 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverh1.errors import InvalidPoset
 from quiverh1.exactalg import h1_oracle, regular_bimodule
 from quiverh1.formulas import h1_path_algebra_acyclic
 from quiverh1.presentations import AlgebraPresentation
-from quiverh1.quiver import is_narrow
 from quiverh1.simplicial import (
     Poset,
     gs_compare,
@@ -18,7 +19,10 @@ from quiverh1.simplicial import (
     _coboundary,
 )
 
-from conftest import hasse_quiver
+from conftest import (
+    hasse_quiver, is_narrow, reference_covers, reference_from_pairs, reference_incidence_table,
+    reference_order_complex,
+)
 
 
 def chain(n: int) -> Poset:
@@ -166,3 +170,49 @@ def test_narrow_hasse_matches_path_algebra_formula():
         assert h1_path_algebra_acyclic(AlgebraPresentation(hq)).dim_h1 == h1_oracle(regular_bimodule(alg))
         checked += 1
     assert checked >= 5
+
+
+@st.composite
+def poset_inputs(draw):
+    """Elements p0..p(n-1) listed in a random order, and pairs that mostly follow the index
+    order, so the listing is not a linear extension; a pair against it may close a cycle,
+    and now and then a pair names an unknown element."""
+    n = draw(st.integers(0, 7))
+    names = [f"p{i}" for i in range(n)]
+    elements = draw(st.permutations(names))
+    pairs = []
+    for i, j, against in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 9)),
+                                       max_size=12)) if n else ():
+        a, b = sorted((names[i % n], names[j % n]), key=names.index)
+        pairs.append((b, a) if against == 0 else (a, b))
+    if draw(st.integers(0, 19)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), ("stranger", names[0] if n else "stranger"))
+    return elements, pairs
+
+
+def _poset_outcome(from_pairs, elements, pairs):
+    try:
+        return from_pairs(elements, pairs)
+    except InvalidPoset as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(poset_inputs())
+@example(([], []))
+@example((["a"], []))
+@example((["a"], [("a", "a")]))
+@example((["b", "a"], [("a", "b"), ("b", "a")]))
+def test_poset_routes_match_the_all_pairs_ones(inputs):
+    """The one-pass closure gives the fixpoint's relation or its error message; the covers
+    and chains read off the up-sets are the all-pairs ones in the same order, and so is
+    the incidence table."""
+    elements, pairs = inputs
+    p = _poset_outcome(Poset.from_pairs, elements, pairs)
+    assert p == _poset_outcome(reference_from_pairs, elements, pairs)
+    if isinstance(p, str):
+        return
+    assert p.above == {a: tuple(b for b in p.elements if b != a and p.leq(a, b)) for a in p.elements}
+    assert p.covers() == reference_covers(p)
+    assert order_complex(p).simplices_by_dim == reference_order_complex(p).simplices_by_dim
+    assert incidence_algebra(p).table == reference_incidence_table(p)

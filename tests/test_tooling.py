@@ -1,6 +1,6 @@
 """Guards on the repository's tooling: every function the benchmark traces still
-exists, the package imports nothing outside the standard library, and its modules
-import one another without a cycle."""
+exists, the package imports nothing outside the standard library, its modules
+import one another without a cycle, and it defines nothing that nothing reaches."""
 
 import ast
 import graphlib
@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path as FsPath
 
+import quiverh1
 import quiverh1.cli  # noqa: F401  (the tracer wraps the bindings of every loaded module)
 
 ROOT = FsPath(__file__).resolve().parents[1]
@@ -77,3 +78,31 @@ def test_the_package_modules_import_one_another_without_a_cycle():
     assert {"presentations", "exactalg"} <= graph["formulas"]  # the edges are found
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
     assert graph["presentations"] == {"errors", "quiver"}
+
+
+# Top-level definitions that stay in the package with no caller there, and why.
+KEEP = {
+    "cli.serialize": "parse . serialize is the identity, a property the tests check",
+    "presentations.truncation_generators": "Z of a truncated presentation, for Bardzell's complex (ROADMAP item 1(b))",
+}
+
+
+def test_every_top_level_definition_is_reached():
+    """A top-level function or class of the package is used elsewhere in it (read from
+    the syntax tree, outside its own definition), is public API, is traced by the
+    benchmark or is on KEEP; anything else belongs in the tests."""
+    defined = {}  # (module, statement index) -> name, for each top-level function or class
+    reads = set()  # (module, statement index, name) for each name a top-level statement reads
+    for path in (ROOT / "src" / "quiverh1").glob("*.py"):
+        for k, node in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[(path.stem, k)] = node.name
+            for n in ast.walk(node):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    reads.add((path.stem, k, n.id if isinstance(n, ast.Name) else n.attr))
+    assert set(KEEP) <= {f"{module}.{name}" for (module, _), name in defined.items()}
+    kept = set(quiverh1.__all__) | {target.split(".")[1] for target in _bench_spans().TRACED}
+    unreached = [f"{module}.{name}" for (module, k), name in defined.items()
+                 if name not in kept and f"{module}.{name}" not in KEEP
+                 and not any(n == name and (m, i) != (module, k) for m, i, n in reads)]
+    assert unreached == []
