@@ -18,10 +18,13 @@ File grammar (line-oriented, '#' starts a comment):
 
 Exit statuses: 0 success/agreement, 1 mismatch (of two methods, or a failed
 ``*_matches`` cross-check such as the bar complex's), 2 input error, 3 unsupported.
-When no formula applies to a presentation, ``check`` still prints the oracle's
-report, then the "formula unavailable" error, and exits 3 (or with the
-oracle's own error and status, when the oracle fails too).  On a poset,
-``check`` compares the oracle with dim H^1 of the order complex.
+Each command runs the methods that ``METHODS`` lists for it and the document's
+kind into one report (on a poset, ``check`` sets the oracle against dim H^1 of
+the order complex).  An error that ends the run exits 2 or 3.  Otherwise the
+report is printed if a method gave a number, a method with no formula adds the
+"formula unavailable" error, and the status is 1 on disagreement, else 3 if a
+method was unavailable, else 0: ``check`` on a presentation with no formula
+exits 1 when a cross-check fails and 3 otherwise.
 Every file is run and reported; with several files the exit status is the
 worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 """
@@ -69,6 +72,7 @@ class RunReport:
     intermediates: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    unavailable: Optional[FormulaUnavailable] = None  # set when a method had no formula
 
     @property
     def agree(self) -> bool:
@@ -260,69 +264,62 @@ def _field_label(prime: Optional[int]) -> str:
     return "q" if prime is None else f"fp:{prime}"
 
 
-def run_formula(doc: InputDocument) -> RunReport:
-    if doc.kind != "quiver-presentation":
-        raise FormulaUnavailable("formula mode needs a quiver presentation")
-    t0 = time.perf_counter()
+def _formula(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
     report = formulas.classify_and_compute(doc.body)
-    out = RunReport(doc.name, "q")
     out.methods[report.method] = report.dim_h1
-    out.intermediates = dict(report.intermediates)
+    out.intermediates.update(report.intermediates)
     if report.per_component:
         out.intermediates["per_component"] = report.per_component
-    out.elapsed = time.perf_counter() - t0
-    return out
 
 
-def run_oracle(doc: InputDocument, prime: Optional[int] = None, max_dim: int = exactalg.DEFAULT_DEGREE2_GUARD) -> RunReport:
-    t0 = time.perf_counter()
-    if doc.kind == "poset":
-        algebra = simplicial.incidence_algebra(doc.body)
-    else:
-        algebra = build_algebra(doc.body)
+def _oracle(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
+    algebra = simplicial.incidence_algebra(doc.body) if doc.kind == "poset" else build_algebra(doc.body)
     rep = exactalg.regular_bimodule(algebra)
-    out = RunReport(doc.name, _field_label(prime))
     dim_derivations = exactalg.derivation_space_dim(rep, prime=prime)
     dim_inner = exactalg.inner_dim(rep, prime=prime)
     out.methods["oracle"] = dim_derivations - dim_inner
-    out.intermediates["dim_algebra"] = algebra.dimension
-    out.intermediates["dim_derivations"] = dim_derivations
-    out.intermediates["dim_inner"] = dim_inner
+    out.intermediates.update(dim_algebra=algebra.dimension, dim_derivations=dim_derivations, dim_inner=dim_inner)
     if algebra.dimension <= max_dim:
         bar = exactalg.bar_cohomology_dims(rep, (0, 1, 2), prime=prime, max_dim=max_dim)
         out.checks.update({f"bar_h{deg}": dim for deg, dim in bar.items()})
         out.checks["bar_h1_matches"] = out.checks["bar_h1"] == out.methods["oracle"]
-    out.elapsed = time.perf_counter() - t0
-    return out
 
 
-def run_check(doc: InputDocument, prime: Optional[int] = None, max_dim: int = exactalg.DEFAULT_DEGREE2_GUARD) -> RunReport:
-    if doc.kind == "poset":  # the oracle against the simplicial H^1 of the order complex
-        report = run_oracle(doc, prime=prime, max_dim=max_dim)
-        t0 = time.perf_counter()
-        report.methods["simplicial"] = simplicial.simplicial_h_dim(simplicial.order_complex(doc.body), 1, prime)
-        report.elapsed += time.perf_counter() - t0
-        return report
-    formula = run_formula(doc)
-    oracle = run_oracle(doc, prime=prime, max_dim=max_dim)
-    merged = RunReport(doc.name, oracle.field)
-    merged.methods.update(formula.methods)
-    merged.methods.update(oracle.methods)
-    merged.intermediates.update(formula.intermediates)
-    merged.intermediates.update(oracle.intermediates)
-    merged.checks.update(oracle.checks)
-    merged.elapsed = formula.elapsed + oracle.elapsed
-    return merged
+def _order_complex(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
+    out.methods["simplicial"] = simplicial.simplicial_h_dim(simplicial.order_complex(doc.body), 1, prime)
 
 
-def run_poset(doc: InputDocument, prime: Optional[int] = None) -> RunReport:
-    if doc.kind != "poset":
-        raise FormulaUnavailable("poset mode needs a poset document")
-    t0 = time.perf_counter()
+def _gs_compare(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
     cmp = simplicial.gs_compare(doc.body, prime=prime)
-    out = RunReport(doc.name, _field_label(prime))
-    out.methods["incidence_oracle"] = cmp.dim_h1_incidence
-    out.methods["simplicial"] = cmp.dim_h1_simplicial
+    out.methods.update(incidence_oracle=cmp.dim_h1_incidence, simplicial=cmp.dim_h1_simplicial)
+
+
+# (command, document kind) -> the methods that add to its report, in order
+METHODS = {
+    ("formula", "quiver-presentation"): (_formula,),
+    ("oracle", "quiver-presentation"): (_oracle,),
+    ("oracle", "poset"): (_oracle,),
+    ("check", "quiver-presentation"): (_formula, _oracle),
+    ("check", "poset"): (_oracle, _order_complex),  # the oracle against the simplicial H^1
+    ("poset", "poset"): (_gs_compare,),
+}
+
+
+def run(command: str, doc: InputDocument, prime: Optional[int] = None,
+        max_dim: int = exactalg.DEFAULT_DEGREE2_GUARD) -> RunReport:
+    """Run the command's methods on one document into one report.  A method that raises
+    FormulaUnavailable is recorded as ``unavailable`` and the others still run; any other
+    error ends the run.  ``formula`` labels its report q whatever the field."""
+    if (command, doc.kind) not in METHODS:
+        needs = "quiver presentation" if doc.kind == "poset" else "poset document"
+        raise FormulaUnavailable(f"{command} mode needs a {needs}")
+    t0 = time.perf_counter()
+    out = RunReport(doc.name, "q" if command == "formula" else _field_label(prime))
+    for method in METHODS[command, doc.kind]:
+        try:
+            method(out, doc, prime, max_dim)
+        except FormulaUnavailable as exc:
+            out.unavailable = exc
     out.elapsed = time.perf_counter() - t0
     return out
 
@@ -395,34 +392,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
-    """Run the command on one file, print its report or error, and return its status."""
+    """Run the command on one file, print its report and errors, and return its status."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = parse(fh.read())
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
+            text = fh.read()
+        report = run(args.command, parse(text), prime, args.max_dim)
+    except (OSError, UnicodeDecodeError, QuiverH1Error) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.command == "formula":
-            report = run_formula(doc)
-        elif args.command == "oracle":
-            report = run_oracle(doc, prime=prime, max_dim=args.max_dim)
-        elif args.command == "check":
-            try:
-                report = run_check(doc, prime=prime, max_dim=args.max_dim)
-            except FormulaUnavailable:
-                _print_report(run_oracle(doc, prime=prime, max_dim=args.max_dim), args.json, args.per_component)
-                raise
-        else:
-            report = run_poset(doc, prime=prime)
-    except (FormulaUnavailable, GuardExceeded) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except QuiverH1Error as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _print_report(report, args.json, args.per_component)
-    return EXIT_OK if report.agree else EXIT_MISMATCH
+        return EXIT_UNSUPPORTED if isinstance(exc, (FormulaUnavailable, GuardExceeded)) else EXIT_INPUT
+    if report.methods:
+        _print_report(report, args.json, args.per_component)
+    if report.unavailable:
+        print(f"error: {path}: {report.unavailable}", file=sys.stderr)
+    return EXIT_MISMATCH if not report.agree else EXIT_UNSUPPORTED if report.unavailable else EXIT_OK
 
 
 if __name__ == "__main__":

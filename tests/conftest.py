@@ -5,6 +5,7 @@ from pathlib import Path as FsPath
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from quiverh1.errors import InvalidPoset, NotApplicable
 from quiverh1.exactalg import BimoduleRep, _add, rank
@@ -19,6 +20,10 @@ from quiverh1.presentations import (
 from quiverh1.simplicial import OrderComplex, Poset, _in_element_order
 
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
+
+# every property test is reproducible and untimed; each @settings gives only its max_examples
+settings.register_profile("quiverh1", derandomize=True, database=None, deadline=None)
+settings.load_profile("quiverh1")
 
 
 def fixture_text(name: str) -> str:

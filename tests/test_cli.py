@@ -19,10 +19,7 @@ from quiverh1.cli import (
     InputDocument,
     main,
     parse,
-    run_check,
-    run_formula,
-    run_oracle,
-    run_poset,
+    run,
     serialize,
 )
 from quiverh1.errors import ParseError
@@ -95,28 +92,28 @@ def test_serialize_round_trip():
 
 
 def test_run_formula_reports():
-    r = run_formula(parse(fixture_text("kronecker2.quiver")))
+    r = run("formula", parse(fixture_text("kronecker2.quiver")))
     assert r.methods == {"path_algebra_acyclic": 3}
-    r = run_formula(parse(fixture_text("cycle3-trunc2.quiver")))
+    r = run("formula", parse(fixture_text("cycle3-trunc2.quiver")))
     assert r.methods == {"pregenerated": 1}
 
 
 def test_run_oracle_reports():
-    r = run_oracle(parse(fixture_text("kronecker2.quiver")))
+    r = run("oracle", parse(fixture_text("kronecker2.quiver")))
     assert r.methods == {"oracle": 3}
     assert r.checks["bar_h1_matches"]
-    r = run_oracle(parse(fixture_text("crown.poset")))
+    r = run("oracle", parse(fixture_text("crown.poset")))
     assert r.methods == {"oracle": 1}
 
 
 def test_run_check_agreement():
-    r = run_check(parse(fixture_text("effective-couple.quiver")))
+    r = run("check", parse(fixture_text("effective-couple.quiver")))
     assert r.agree
     assert set(r.methods.values()) == {2}
 
 
 def test_run_poset():
-    r = run_poset(parse(fixture_text("crown.poset")))
+    r = run("poset", parse(fixture_text("crown.poset")))
     assert r.methods == {"incidence_oracle": 1, "simplicial": 1}
     assert r.agree
 
@@ -402,6 +399,7 @@ def test_check_searches_an_acyclic_monomial_basis_once(monkeypatch, capsys):
         assert len(calls) == 1
     capsys.readouterr()
 
+
 def test_a_failed_bar_cross_check_is_a_mismatch(capsys, monkeypatch):
     from quiverh1 import exactalg
 
@@ -452,26 +450,88 @@ def test_per_component_prints_each_component(capsys):
     assert not any(line in out for line in lines)
 
 
+def test_a_failed_bar_cross_check_without_a_formula_is_a_mismatch(tmp_path, capsys, monkeypatch):
+    """k[x]/(x^2) has no formula; its failed bar check still outranks the unavailable formula."""
+    from quiverh1 import exactalg
+
+    real = exactalg.bar_cohomology_dims
+
+    def h1_off_by_one(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        return {**dims, 1: dims[1] + 1}
+
+    monkeypatch.setattr(exactalg, "bar_cohomology_dims", h1_off_by_one)
+    square = tmp_path / "square.quiver"
+    square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
+    assert main(["check", "--json", str(square)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["checks"]["bar_h1_matches"] is False and report["checks"]["agree"] is False
+    assert captured.err == f"error: {square}: formula unavailable, use oracle\n"
+    good = str(FIXTURE_DIR / "cycle3-trunc2.quiver")
+    assert main(["check", "--json", good, str(square)]) == EXIT_MISMATCH
+    assert main(["check", "--json", str(square), good]) == EXIT_MISMATCH
+    capsys.readouterr()
+
+
+def test_every_command_on_every_kind_of_document_ends_cleanly(tmp_path, capsys):
+    """Each (command, document kind) pair gives a report or a typed error with exit 2 or 3."""
+    square = tmp_path / "square.quiver"  # k[x]/(x^2): no formula applies
+    square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
+    docs = {"presentation": str(FIXTURE_DIR / "kronecker2.quiver"),
+            "poset": str(FIXTURE_DIR / "crown.poset"), "no formula": str(square)}
+    errors = {
+        ("formula", "poset"): "formula mode needs a quiver presentation",
+        ("formula", "no formula"): "formula unavailable, use oracle",
+        ("check", "no formula"): "formula unavailable, use oracle",
+        ("poset", "presentation"): "poset mode needs a poset document",
+        ("poset", "no formula"): "poset mode needs a poset document",
+    }
+    for command in ("formula", "oracle", "check", "poset"):
+        for kind, path in docs.items():
+            for flags in ([], ["--json"]):
+                status = main([command, *flags, path])
+                out, err = capsys.readouterr()
+                message = errors.get((command, kind))
+                if message is None:
+                    assert (status, err) == (EXIT_OK, "") and out.count("\n") > 1, (command, kind)
+                else:
+                    assert (status, err) == (EXIT_UNSUPPORTED, f"error: {path}: {message}\n"), (command, kind)
+                    assert bool(out) == (command == "check"), (command, kind)  # check still prints the oracle
+
+
 GOLDEN = FsPath(__file__).resolve().parent / "golden" / "cli_outputs.json"
+
+
+def views(command: str, path: FsPath) -> dict:
+    """Key suffix -> flags.  Only formula on a presentation breaks its report down by
+    component, so the --per-component view is kept for formula and check there alone."""
+    out = {"": ["--json"], " text": []}
+    if command in ("formula", "check") and path.suffix == ".quiver":
+        out[" --per-component"] = ["--per-component"]
+    return out
 
 
 def cli_outputs() -> dict:
     """stdout, stderr and exit status of formula, oracle and check (and poset on posets)
-    with --json over q and fp:3 on every file in fixtures/, with the run time removed;
-    keyed "<command> <field> <file>".  Runs from the repository root."""
+    over q and fp:3 on every file in fixtures/, with the run time removed; keyed
+    "<command> <field> <file>" for --json, with " text" appended for the plain text view
+    and " --per-component" for the text view with component breakdowns (see ``views``).
+    Runs from the repository root."""
     outputs = {}
     for path in sorted(FIXTURE_DIR.iterdir()):
         commands = ("formula", "oracle", "check") + (("poset",) if path.suffix == ".poset" else ())
         for command in commands:
             for field in ("q", "fp:3"):
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    status = main([command, "--json", "--field", field, f"fixtures/{path.name}"])
-                outputs[f"{command} {field} {path.name}"] = {
-                    "stdout": re.sub(r'"elapsed_s": [^\n]*', '"elapsed_s"', out.getvalue()),
-                    "stderr": err.getvalue(),
-                    "status": status,
-                }
+                for suffix, flags in views(command, path).items():
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        status = main([command, *flags, "--field", field, f"fixtures/{path.name}"])
+                    outputs[f"{command} {field} {path.name}{suffix}"] = {
+                        "stdout": re.sub(r'"elapsed_s": [^\n]*', '"elapsed_s"', out.getvalue()),
+                        "stderr": err.getvalue(),
+                        "status": status,
+                    }
     return outputs
 
 

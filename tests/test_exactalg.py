@@ -103,7 +103,7 @@ def sparse_int_matrices(draw):
     return draw(st.permutations(base + combos))
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(sparse_int_matrices())
 def test_rank_matches_reference_kernel(entries):
     rows = [{j: v for j, v in enumerate(row) if v} for row in entries]
@@ -358,7 +358,7 @@ def test_bar_dims_match_the_standard_complex(bar_algebras):
             assert bar_cohomology_dims(rep, (0, 1, 2), prime=prime) == reference_bar_dims(rep, prime, rows)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     family=st.sampled_from(["monomial", "truncated", "incidence", "quotient"]),
     seed=st.integers(0, 2**32 - 1),
@@ -457,7 +457,7 @@ def reference_validate(rep):
         raise AssertionError("unit does not act as identity")
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     family=st.sampled_from(["monomial", "truncated", "incidence"]),
     seed=st.integers(0, 2**32 - 1),
@@ -513,7 +513,7 @@ def test_builders_store_product_indices():
     assert all(type(n) is int for op in rep.left + rep.right for n in op.values())
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     family=st.sampled_from(["monomial", "truncated", "incidence"]),
     seed=st.integers(0, 2**32 - 1),

@@ -483,14 +483,14 @@ def _disjoint_union(p1, p2):
     return AlgebraPresentation(quiver, MonomialIdeal(p1.scheme.generators + p2.scheme.generators))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(kind=st.sampled_from(["monomial", "truncated"]), seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4))
 def test_dim_h1_is_invariant_under_the_opposite_presentation(kind, seed, m):
     pres = _seeded_presentation(kind, seed, m)
     assert classify_and_compute(_opposite(pres)).dim_h1 == classify_and_compute(pres).dim_h1
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(kind=st.sampled_from(["monomial", "truncated"]), seeds=st.tuples(st.integers(0, 2**32 - 1),
        st.integers(0, 2**32 - 1)), m=st.integers(2, 4))
 def test_dim_h1_is_additive_over_a_disjoint_union(kind, seeds, m):

@@ -338,7 +338,7 @@ def _outcome(check, alg):
     return None
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     family=st.sampled_from(["monomial", "truncated", "incidence"]),
     seed=st.integers(0, 2**32 - 1),
@@ -363,7 +363,7 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, m
     assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     family=st.sampled_from(["monomial", "truncated", "incidence"]),
     seed=st.integers(0, 2**32 - 1),
@@ -502,7 +502,7 @@ def _minimality_outcome(check, q, gens):
         return str(exc), exc.generator
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(cyclic=st.booleans(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
 def test_check_minimal_matches_the_pairwise_test(cyclic, seed, k):
     """Same ideal, or the same generator and message, on random generator sets
@@ -625,7 +625,7 @@ def quiver_with_walks(draw):
     return q, ideal_of_walks(q, walks)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(instance=quiver_with_walks())
 def test_basis_B_is_the_set_of_avoiding_paths_or_raises(instance):
     """A finite basis holds every trivial path and is closed under exactly the arrow

@@ -77,7 +77,7 @@ def test_connected_components_partition():
     assert sorted(arrs) == sorted(a.name for a in q.arrows)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(n=st.integers(1, 12), order=st.randoms(use_true_random=False),
        ends=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=10))
 def test_connected_components_match_the_rescanning_search(n, order, ends):
@@ -183,7 +183,7 @@ def test_path_invariants():
         Path("x", (q.arrows[0], q.arrows[0]))  # not composable
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     n=st.integers(1, 5),
     ends=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=7),
@@ -208,7 +208,7 @@ def test_path_counts_match_enumeration(n, ends, acyclic, bound):
     assert dict(enumerate(path_counts(q, max_length=bound))) == {k: dict(c) for k, c in expected.items()}
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(n=st.integers(1, 5), ends=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=7))
 @example(n=1, ends=[(0, 0)])  # a loop
 @example(n=2, ends=[(0, 1), (0, 1)])  # parallel arrows, no cycle

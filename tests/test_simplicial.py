@@ -197,7 +197,7 @@ def _poset_outcome(from_pairs, elements, pairs):
         return str(exc)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(poset_inputs())
 @example(([], []))
 @example((["a"], []))
