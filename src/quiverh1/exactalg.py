@@ -211,10 +211,6 @@ def invariants_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     return x.dim - rank(rows, prime=prime)
 
 
-def center_dim(algebra: StructureConstantAlgebra, prime: Optional[int] = None) -> int:
-    return invariants_dim(regular_bimodule(algebra), prime=prime)
-
-
 def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """Dimension of linear maps f with f(ab) = a.f(b) + f(a).b on all basis pairs.
 

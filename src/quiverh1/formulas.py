@@ -1,10 +1,10 @@
 """Closed-form dimension formulas for the first Hochschild cohomology.
 
-Covers: path algebras of acyclic quivers, monomial algebras with acyclic
-quiver (via the effective-couple count), truncated algebras, pre-generated
-ideals, and the tensor-coefficients formula for bimodules over
-a path algebra.  ``FORMULAS`` holds the dispatch rows in order; each takes a
-presentation and raises NotApplicable, with its reason, when its precondition fails.
+Covers: path algebras of acyclic quivers, monomial algebras with acyclic quiver (via the
+effective-couple count), truncated algebras, pre-generated ideals, and the tensor-coefficients
+formula for bimodules over a path algebra.  ``FORMULAS`` holds the dispatch rows in order; each
+takes a presentation and raises NotApplicable, with its reason, when its precondition fails.
+Every row counts paths, dim Z(A) included, so none builds an algebra or ranks a system.
 
 The classical upper bound printed for the monomial case is implemented as a
 LOWER bound: the diagonal couples are always non-effective, so the effective
@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import NotApplicable, FormulaUnavailable
-from .exactalg import center_dim
 from .presentations import (
     AlgebraPresentation,
     _generator_spans,
-    build_algebra,
     is_pregenerated_monomial,
     truncated_is_pregenerated,
 )
@@ -150,14 +148,13 @@ def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals),
     i.e. the tensor-coefficients formula with X = A, X^T = Z(A) and X^E the diagonal
     slices.  The basis is read first, so an infinite one raises InfiniteBasis before the
-    pre-generated test; the presentation's algebra is built once that test holds."""
+    pre-generated test; dim Z(A) is the presentation's count, and no algebra is built."""
     q, kind = presentation.quiver, presentation.kind
-    presentation.basis  # raises InfiniteBasis
+    basis = presentation.basis  # raises InfiniteBasis
     if (kind == "monomial" and not is_pregenerated_monomial(presentation)
             or kind == "truncated" and not truncated_is_pregenerated(q, presentation.scheme.m)):
         raise NotApplicable("not pre-generated")
-    algebra = build_algebra(presentation)
-    data = slice_data_from_paths(q, algebra.basis_paths, center_dim(algebra))
+    data = slice_data_from_paths(basis, presentation.center_dim)
     dim = h1_tensor_coefficients(q, data)
     return H1Report(
         dim, "pregenerated", [],
@@ -176,9 +173,8 @@ class BimoduleSliceData:
     dim_X_T: int
 
 
-def slice_data_from_paths(quiver: Quiver, module_paths: list[Path], dim_X_T: int) -> BimoduleSliceData:
-    """Slice data for a bimodule with a path basis, read from its endpoint groups; dim_X_T
-    must be supplied (it is the invariant dimension, an exactalg computation for X != kQ)."""
+def slice_data_from_paths(module_paths: list[Path], dim_X_T: int) -> BimoduleSliceData:
+    """Slice data for a bimodule with a path basis, read from its endpoint groups, and dim X^T."""
     slices = {pair: len(group) for pair, group in PathBasis(module_paths).between.items()}
     dim_E = sum(n for (x, y), n in slices.items() if x == y)
     return BimoduleSliceData(slices, dim_E, dim_X_T)

@@ -57,7 +57,7 @@ Scheme = Union[None, MonomialIdeal, TruncationIdeal]
 @dataclass(frozen=True)
 class AlgebraPresentation:
     """A quiver with one relation scheme: None (no relations), a MonomialIdeal or a
-    TruncationIdeal.  Its basis and its algebra are computed once, on first use.
+    TruncationIdeal.  Its basis, centre dimension and algebra are computed once, on first use.
     """
 
     quiver: Quiver
@@ -85,6 +85,29 @@ class AlgebraPresentation:
         if not q.acyclic:
             raise InfiniteBasis("infinite dimensional: path algebra of a cyclic quiver")
         return PathBasis(enumerate_paths(q))
+
+    @cached_property
+    def center_dim(self) -> int:
+        """dim Z(A), in every characteristic.  Z(A) lies in the span of the closed basis paths and
+        commutes with each arrow: each path p equates the coefficients of p less its last and first arrow
+        if those arrows agree, else zeroes those that are closed.  Count the classes with none zeroed."""
+        basis = self.basis
+        parent, zeroed = {i: i for i, p in enumerate(basis) if p.source == p.target}, []
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for p in basis[len(self.quiver.vertices):]:  # the trivial paths come first
+            names = p.arrow_names()
+            head, tail = basis.index[(p.source, names[:-1])], basis.index[(p.arrows[0].target, names[1:])]
+            if names[0] == names[-1]:
+                parent[root(head)] = root(tail)
+            else:
+                zeroed += [i for i in (head, tail) if i in parent]
+        return len({root(i) for i in parent} - {root(i) for i in zeroed})
 
     @cached_property
     def algebra(self) -> StructureConstantAlgebra:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from quiverh1.errors import InvalidPoset, NotApplicable
-from quiverh1.exactalg import BimoduleRep, _add, rank
+from quiverh1.exactalg import BimoduleRep, _add, invariants_dim, rank, regular_bimodule
 from quiverh1.formulas import H1Report, _per_component
 from quiverh1.quiver import (
     Arrow, ParallelPair, Path, PathBasis, Quiver, VertexId, arrow_path, connected_components, is_acyclic,
@@ -217,6 +217,13 @@ def quotient_bimodule(path_algebra: StructureConstantAlgebra,
             if k is not None:
                 right[b][j] = k
     return BimoduleRep(path_algebra, quotient.dimension, tuple(left), tuple(right)).validate()
+
+
+# --- the invariant system that the closed-path centre count replaced ----------
+
+
+def center_dim(algebra: StructureConstantAlgebra, prime: Optional[int] = None) -> int:
+    return invariants_dim(regular_bimodule(algebra), prime=prime)
 
 
 # --- the all-pairs poset and component routes that the up-set ones replaced ----

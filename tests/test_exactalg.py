@@ -12,7 +12,6 @@ from quiverh1.exactalg import (
     BimoduleRep,
     bar_cohomology_dim,
     bar_cohomology_dims,
-    center_dim,
     derivation_space_dim,
     h1_oracle,
     inner_dim,
@@ -32,7 +31,7 @@ from quiverh1.quiver import Arrow, Quiver, compose
 from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
-    FIXTURE_DIR, a2, a3, branch, cycle, fib_dag, fixture_text, kronecker, path_of, product_basis,
+    FIXTURE_DIR, a2, a3, branch, center_dim, cycle, fib_dag, fixture_text, kronecker, path_of, product_basis,
     quotient_bimodule, random_connected_dag, random_minimal_ideal, reference_bar_dims, reference_bar_rows,
 )
 from test_presentations import _outcome, _seeded_algebra, random_cycle_instance

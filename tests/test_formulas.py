@@ -23,6 +23,7 @@ from quiverh1.formulas import (
 from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
+    StructureConstantAlgebra,
     TruncationIdeal,
     basis_B,
     build_algebra,
@@ -177,7 +178,7 @@ def _tensor_data(quiver, Z):
     kq = build_algebra(AlgebraPresentation(quiver))
     quot = build_algebra(AlgebraPresentation(quiver, Z))
     rep = quotient_bimodule(kq, quot)
-    return slice_data_from_paths(quiver, list(quot.basis_paths), invariants_dim(rep)), rep
+    return slice_data_from_paths(list(quot.basis_paths), invariants_dim(rep)), rep
 
 
 def test_h1_tensor_coefficients_examples():
@@ -289,25 +290,33 @@ def test_formulas_match_oracle_on_fixed_examples():
 
 
 def test_dispatch_runs_the_pregenerated_test_once(monkeypatch):
-    from quiverh1 import formulas
+    """Each pre-generated row runs its test once and builds no algebra, and the count of
+    the centre ranks no system, even on the truncated 60-cycle at m = 30 (d = 1800)."""
+    from quiverh1 import exactalg, formulas, presentations
 
     calls = []
-    for name in ("is_pregenerated_monomial", "truncated_is_pregenerated", "build_algebra"):
-        real = getattr(formulas, name)
-        monkeypatch.setattr(formulas, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for owner, name in ((formulas, "is_pregenerated_monomial"), (formulas, "truncated_is_pregenerated"),
+                        (presentations, "build_algebra"), (StructureConstantAlgebra, "check"),
+                        (exactalg, "rank")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     c4 = cycle(4)
     assert classify_and_compute(AlgebraPresentation(c4, truncation_generators(c4, 2))).method == "pregenerated"
-    assert calls == ["is_pregenerated_monomial", "build_algebra"]
+    assert calls == ["is_pregenerated_monomial"]
     calls.clear()
     assert classify_and_compute(AlgebraPresentation(c4, TruncationIdeal(2))).method == "pregenerated"
-    assert calls == ["truncated_is_pregenerated", "build_algebra"]
+    assert calls == ["truncated_is_pregenerated"]
     calls.clear()
     with pytest.raises(FormulaUnavailable, match="formula unavailable, use oracle"):
         classify_and_compute(AlgebraPresentation(c4, TruncationIdeal(4)))
-    assert calls == ["truncated_is_pregenerated"]  # no algebra is built when the test fails
+    assert calls == ["truncated_is_pregenerated"]
+    calls.clear()
+    report = classify_and_compute(AlgebraPresentation(cycle(60), TruncationIdeal(30)))
+    assert (report.method, report.intermediates["dim_center"]) == ("pregenerated", 1)
+    assert calls == ["truncated_is_pregenerated"]
 
 
-def test_h1_pregenerated_builds_its_own_algebra():
+def test_h1_pregenerated_reads_its_own_presentation():
     for pres in (
         AlgebraPresentation(cycle(3), TruncationIdeal(2)),
         AlgebraPresentation(cycle(5), truncation_generators(cycle(5), 3)),

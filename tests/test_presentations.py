@@ -23,8 +23,8 @@ from quiverh1.quiver import Arrow, Path, Quiver, connected_components, enumerate
 from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
-    a2, a3, branch, contains_generator, cycle, fib_dag, kronecker, max_avoiding_length, multiply, occurrences,
-    path_of, product_basis, random_connected_dag, random_minimal_ideal,
+    a2, a3, branch, center_dim, contains_generator, cycle, fib_dag, kronecker, max_avoiding_length, multiply,
+    occurrences, path_of, product_basis, random_connected_dag, random_minimal_ideal, random_monomial_instances,
 )
 
 
@@ -661,3 +661,62 @@ def test_basis_B_decides_an_infinite_basis_before_listing_a_path(monkeypatch):
     with pytest.raises(InfiniteBasis, match="infinite basis: quiver is cyclic and the ideal is not admissible"):
         basis_B(q, Z)
     assert extensions == []
+
+
+# --- the centre count against the invariant system of the regular bimodule ------
+
+PRIMES = (None, 2, 3, 5)
+
+
+def admissible_cycle_presentation(rng: random.Random) -> AlgebraPresentation:
+    """The first ``random_cycle_instance`` draw with a finite basis of at most 60 paths."""
+    while True:
+        pres = AlgebraPresentation(*random_cycle_instance(rng))
+        try:
+            if len(pres.basis) <= 60:
+                return pres
+        except InfiniteBasis:
+            pass
+
+
+def truncated_cycles():
+    """n-cycles, n <= 5, truncated at 2 <= m <= 6, as a truncation and as its generators."""
+    for n, m in product(range(1, 6), range(2, 7)):
+        yield AlgebraPresentation(cycle(n), TruncationIdeal(m))
+        yield AlgebraPresentation(cycle(n), truncation_generators(cycle(n), m))
+
+
+def test_center_count_matches_the_invariant_system(monomial_instances):
+    """Seeded acyclic and cyclic monomial, truncated and Fib-DAG presentations, each over Q,
+    F_2, F_3 and F_5."""
+    rng = random.Random(11)
+    presentations = [AlgebraPresentation(q, Z) for q, Z in monomial_instances]
+    presentations += [admissible_cycle_presentation(rng) for _ in range(100)]
+    presentations += list(truncated_cycles())
+    presentations += [AlgebraPresentation(fib_dag(n)) for n in range(1, 9)]
+    compared = 0
+    for pres in presentations:
+        algebra = build_algebra(pres)
+        for prime in PRIMES:
+            assert pres.center_dim == center_dim(algebra, prime), (pres, prime)
+            compared += 1
+    assert compared >= 1000
+
+
+@settings(max_examples=100)
+@given(
+    family=st.sampled_from(["acyclic", "cyclic", "truncated", "fib"]),
+    seed=st.integers(0, 2**32 - 1),
+    prime=st.sampled_from(PRIMES),
+)
+def test_center_count_matches_the_invariant_system_on_random_presentations(family, seed, prime):
+    rng = random.Random(seed)
+    if family == "acyclic":
+        pres = AlgebraPresentation(*random_monomial_instances(seed, 1)[0])
+    elif family == "cyclic":
+        pres = admissible_cycle_presentation(rng)
+    elif family == "truncated":
+        pres = rng.choice(list(truncated_cycles()))
+    else:
+        pres = AlgebraPresentation(fib_dag(rng.randint(1, 8)))
+    assert pres.center_dim == center_dim(build_algebra(pres), prime)

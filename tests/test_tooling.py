@@ -75,7 +75,8 @@ def _package_imports() -> dict[str, set[str]]:
 
 def test_the_package_modules_import_one_another_without_a_cycle():
     graph = _package_imports()
-    assert {"presentations", "exactalg"} <= graph["formulas"]  # the edges are found
+    assert "presentations" in graph["formulas"]  # the edges are found
+    assert "exactalg" not in graph["formulas"]  # the formulas share no code with the oracles
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
     assert graph["presentations"] == {"errors", "quiver"}
 
