@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,8 +24,10 @@ from quiverh1.cli import (
     serialize,
 )
 from quiverh1.errors import ParseError
+from quiverh1.presentations import AlgebraPresentation
 
-from conftest import FIXTURE_DIR, fixture_text
+from conftest import FIXTURE_DIR, fixture_text, random_monomial_instances
+from test_presentations import admissible_cycle_presentation, truncated_cycles
 
 
 def test_parse_quiver_fixture():
@@ -100,10 +103,10 @@ def test_run_formula_reports():
 
 def test_run_oracle_reports():
     r = run("oracle", parse(fixture_text("kronecker2.quiver")))
-    assert r.methods == {"oracle": 3}
-    assert r.checks["bar_h1_matches"]
+    assert r.methods == {"oracle": 3, "erelative": 3}
+    assert r.agree
     r = run("oracle", parse(fixture_text("crown.poset")))
-    assert r.methods == {"oracle": 1}
+    assert r.methods == {"oracle": 1, "erelative": 1}
 
 
 def test_run_check_agreement():
@@ -310,10 +313,11 @@ def test_check_runs_the_oracle_when_no_formula_applies(tmp_path, capsys):
         assert main(["check", "--json", "--field", field, str(square)]) == EXIT_UNSUPPORTED
         captured = capsys.readouterr()
         report = json.loads(captured.out)
-        assert (report["method"], report["dim_h1"], report["field"]) == ("oracle", dim, field)
+        assert (report["method"], report["dim_h1"], report["field"]) == ("oracle,erelative", dim, field)
         assert captured.err == f"error: {square}: formula unavailable, use oracle\n"
     assert main(["oracle", "--field", "fp:2", str(square)]) == EXIT_OK
-    assert "dim H1 [oracle]: 2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "dim H1 [oracle]: 2" in out and "dim H1 [erelative]: 2" in out
 
     cyclic = tmp_path / "cyclic.quiver"  # no relations: the oracle's own error and status
     cyclic.write_text("quiver c\nvertex x\nvertex y\narrow a x y\narrow b y x\nend\n")
@@ -334,9 +338,9 @@ def test_check_on_a_poset_compares_the_oracle_with_the_order_complex(capsys, mon
             path = str(FIXTURE_DIR / f"{name}.poset")
             assert main(["check", "--json", "--field", field, path]) == EXIT_OK
             report = json.loads(capsys.readouterr().out)
-            assert (report["method"], report["dim_h1"], report["field"]) == ("oracle,simplicial", dim, field)
+            assert (report["method"], report["dim_h1"], report["field"]) == ("oracle,erelative,simplicial", dim, field)
             assert set(report["intermediates"]) == {"dim_algebra", "dim_derivations", "dim_inner"}
-            assert report["checks"]["bar_h1"] == dim and report["checks"]["agree"] is True
+            assert report["checks"]["agree"] is True
             assert main(["poset", "--json", "--field", field, path]) == EXIT_OK
             assert json.loads(capsys.readouterr().out)["dim_h1"] == dim
     real = simplicial.simplicial_h_dim
@@ -413,8 +417,9 @@ def test_a_failed_bar_cross_check_is_a_mismatch(capsys, monkeypatch):
     path = str(FIXTURE_DIR / "kronecker2.quiver")
     for command in ("oracle", "check"):
         assert main([command, "--json", path]) == EXIT_MISMATCH
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert checks["bar_h1_matches"] is False and checks["agree"] is False
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["agree"] is False and report["dim_h1"] is None
+        assert "erelative" in report["method"].split(",")
     assert main(["check", path]) == EXIT_MISMATCH
     assert "agreement: MISMATCH" in capsys.readouterr().out
 
@@ -424,19 +429,36 @@ def test_max_dim_decides_which_reports_carry_the_bar_check(tmp_path, capsys):
     a5.write_text("quiver a5\n" + "".join(f"vertex v{i}\n" for i in range(5))
                   + "".join(f"arrow a{i} v{i} v{i + 1}\n" for i in range(4)) + "end\n")
     kronecker2 = FIXTURE_DIR / "kronecker2.quiver"
-    bar = {"bar_h0", "bar_h1", "bar_h2", "bar_h1_matches"}
 
-    def checks(path, *flags):
+    def bar(path, *flags):
+        """The report's methods and its bar_* checks."""
         assert main(["check", "--json", *flags, str(path)]) == EXIT_OK
-        return json.loads(capsys.readouterr().out)["checks"]
+        report = json.loads(capsys.readouterr().out)
+        return report["method"], {key for key in report["checks"] if key.startswith("bar_")}
 
-    assert not bar & set(checks(a5))
-    lifted = checks(a5, "--max-dim", "15")
-    assert bar <= set(lifted) and lifted["bar_h1_matches"] is True
-    assert bar <= set(checks(kronecker2))
-    assert not bar & set(checks(kronecker2, "--max-dim", "0"))
+    assert bar(a5) == ("path_algebra_acyclic,oracle,erelative", {"bar_h0"})
+    assert bar(a5, "--max-dim", "15") == ("path_algebra_acyclic,oracle,erelative", {"bar_h0", "bar_h2"})
+    assert bar(kronecker2) == ("path_algebra_acyclic,oracle,erelative", {"bar_h0", "bar_h2"})
+    assert bar(kronecker2, "--max-dim", "0") == ("path_algebra_acyclic,oracle,erelative", {"bar_h0"})
     assert main(["oracle", "--json", str(a5)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["intermediates"]["dim_algebra"] == 15
+
+
+def test_erelative_equals_the_brute_oracle_above_the_degree_2_guard():
+    """On the seeded acyclic and cyclic monomial instances and the truncated cycles with
+    12 < d <= 60, over Q, F_2, F_3 and F_5."""
+    presentations = [AlgebraPresentation(q, Z) for q, Z in random_monomial_instances(7, 300, max_dim=60)]
+    rng = random.Random(11)
+    presentations += [admissible_cycle_presentation(rng) for _ in range(100)]
+    presentations += truncated_cycles()
+    compared = 0
+    for pres in presentations:
+        if 12 < len(pres.basis) <= 60:
+            for prime in (None, 2, 3, 5):
+                report = run("oracle", InputDocument("quiver-presentation", "seeded", pres), prime)
+                assert list(report.methods) == ["oracle", "erelative"] and report.agree, (pres, prime)
+                compared += 1
+    assert compared >= 600
 
 
 def test_per_component_prints_each_component(capsys):
@@ -451,7 +473,7 @@ def test_per_component_prints_each_component(capsys):
 
 
 def test_a_failed_bar_cross_check_without_a_formula_is_a_mismatch(tmp_path, capsys, monkeypatch):
-    """k[x]/(x^2) has no formula; its failed bar check still outranks the unavailable formula."""
+    """k[x]/(x^2) has no formula; oracle and erelative disagreeing outranks the unavailable formula."""
     from quiverh1 import exactalg
 
     real = exactalg.bar_cohomology_dims
@@ -466,7 +488,8 @@ def test_a_failed_bar_cross_check_without_a_formula_is_a_mismatch(tmp_path, caps
     assert main(["check", "--json", str(square)]) == EXIT_MISMATCH
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    assert report["checks"]["bar_h1_matches"] is False and report["checks"]["agree"] is False
+    assert report["checks"]["agree"] is False and report["dim_h1"] is None
+    assert report["method"] == "oracle,erelative"
     assert captured.err == f"error: {square}: formula unavailable, use oracle\n"
     good = str(FIXTURE_DIR / "cycle3-trunc2.quiver")
     assert main(["check", "--json", good, str(square)]) == EXIT_MISMATCH

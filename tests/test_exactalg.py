@@ -20,6 +20,7 @@ from quiverh1.exactalg import (
     rank,
     regular_bimodule,
 )
+from quiverh1.formulas import classify_and_compute
 from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
@@ -392,6 +393,20 @@ def test_bar_complex_needs_the_radical_closed_under_products():
     alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {0: 1}, {"v": 0}).check()
     with pytest.raises(NotApplicable, match="is an idempotent"):
         bar_cohomology_dims(regular_bimodule(alg), (0, 1))
+
+
+def test_bar_h1_of_fib_dags_equals_the_formula_and_the_opposite_algebras():
+    """Fib-DAG path algebras up to d = 364, where the brute oracle is too slow for the suite:
+    the E-relative H^1 is the acyclic path algebra formula 2n - 4, and the same on A^op,
+    since HH*(A^op) is HH*(A)."""
+    for n in range(2, 11):
+        pres = AlgebraPresentation(fib_dag(n))
+        report = classify_and_compute(pres)
+        assert (report.method, report.dim_h1) == ("path_algebra_acyclic", 2 * n - 4)
+        alg = build_algebra(pres)
+        for side in (alg, alg.opposite().check()):
+            assert bar_cohomology_dims(regular_bimodule(side), (0, 1))[1] == 2 * n - 4, (n, side is alg)
+    assert alg.dimension == 364
 
 
 # --- index-map actions against the column operators they replaced -------------
