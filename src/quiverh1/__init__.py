@@ -1,8 +1,10 @@
 """First Hochschild cohomology of finite-dimensional quiver algebras.
 
-Closed combinatorial dimension formulas for path, monomial, truncated,
-pre-generated and incidence algebras, each cross-checked by a brute-force
-exact-linear-algebra oracle (derivations modulo inner derivations).
+Closed combinatorial dimension formulas for path, monomial, truncated and
+pre-generated algebras, each cross-checked by two exact-linear-algebra oracles:
+derivations modulo inner derivations, and the E-relative bar complex.  On the
+incidence algebra of a poset both oracles are set against H^1 of its order
+complex (Gerstenhaber-Schack).
 """
 
 from .quiver import Arrow, ParallelPair, Path, Quiver, compose, enumerate_paths
@@ -16,7 +18,7 @@ from .presentations import (
 )
 from .formulas import H1Report, classify_and_compute
 from .exactalg import h1_oracle, regular_bimodule
-from .simplicial import Poset, gs_compare
+from .simplicial import Poset
 
 __all__ = [
     "Arrow",
@@ -36,7 +38,6 @@ __all__ = [
     "h1_oracle",
     "regular_bimodule",
     "Poset",
-    "gs_compare",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Finite posets, incidence algebras, order complexes and the degree-1
-comparison between incidence-algebra Hochschild cohomology and simplicial
-cohomology of the chain complex of the poset.
+"""Finite posets, their incidence algebras and order complexes, and the simplicial
+cohomology of the order complex in degrees 0 and 1, which the command line sets
+against the Hochschild H^1 of the incidence algebra.
 
 Input relations may be cover pairs or arbitrary comparabilities; the
 reflexive-transitive closure is computed before validation, so hand-written
@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidPoset
-from .exactalg import Row, h1_oracle, rank, regular_bimodule
+from .exactalg import Row, rank
 from .presentations import StructureConstantAlgebra
 
 
@@ -70,21 +70,6 @@ def _in_element_order(elements: tuple[str, ...], pairs) -> list[tuple[str, str]]
     the iteration order of a set."""
     pos = {e: i for i, e in enumerate(elements)}
     return sorted(pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
-
-
-def validate_poset(p: Poset) -> Poset:
-    """Re-check the order axioms on the stored relation; reports the first violation in
-    element order."""
-    for a in p.elements:
-        if (a, a) not in p.relation:
-            raise InvalidPoset(f"reflexivity violation at {a!r}")
-    for a, b in p.comparable_pairs():
-        if a != b and (b, a) in p.relation:
-            raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
-        for c in p.elements:
-            if (b, c) in p.relation and (a, c) not in p.relation:
-                raise InvalidPoset(f"transitivity violation: {a!r} <= {b!r} <= {c!r}")
-    return p
 
 
 def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
@@ -158,22 +143,3 @@ def _assert_composite_zero(d0: list[Row], d1: list[Row]) -> None:
                 acc[c0] = acc.get(c0, 0) + v1 * v0
         if any(acc.values()):
             raise AssertionError("coboundary composite is nonzero")
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    dim_h1_incidence: int
-    dim_h1_simplicial: int
-
-    @property
-    def agree(self) -> bool:
-        return self.dim_h1_incidence == self.dim_h1_simplicial
-
-
-def gs_compare(p: Poset, prime: Optional[int] = None) -> ComparisonReport:
-    """Hochschild H^1 of the incidence algebra vs simplicial H^1 of the chain complex."""
-    validate_poset(p)
-    alg = incidence_algebra(p)
-    h1_inc = h1_oracle(regular_bimodule(alg), prime=prime)
-    h1_simp = simplicial_h_dim(order_complex(p), 1, prime=prime)
-    return ComparisonReport(h1_inc, h1_simp)

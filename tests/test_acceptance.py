@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from quiverh1 import cli
 from quiverh1.exactalg import (
     bar_cohomology_dim,
     h1_oracle,
@@ -32,7 +33,7 @@ from quiverh1.presentations import (
     truncation_generators,
 )
 from quiverh1.quiver import Arrow, Quiver
-from quiverh1.simplicial import Poset, gs_compare, incidence_algebra
+from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
     branch,
@@ -106,12 +107,11 @@ def test_criterion_3_narrow():
 
 def test_criterion_4_incidence_vs_simplicial():
     crown = Poset.from_pairs("abcd", [("c", "a"), ("d", "a"), ("c", "b"), ("d", "b")])
-    r = gs_compare(crown)
-    assert (r.dim_h1_incidence, r.dim_h1_simplicial) == (1, 1)
     diamond = Poset.from_pairs("abcd", [("c", "a"), ("d", "a"), ("b", "c"), ("b", "d")])
-    r = gs_compare(diamond)
-    assert (r.dim_h1_incidence, r.dim_h1_simplicial) == (0, 0)
-    _ok(4, "crown poset gives 1 = 1 and the printed-relations diamond gives 0 = 0")
+    for name, p, dim in (("crown", crown, 1), ("diamond", diamond, 0)):
+        r = cli.run("poset", cli.parse(cli.serialize(cli.InputDocument("poset", name, p))))
+        assert r.methods == {"oracle": dim, "erelative": dim, "simplicial": dim}
+    _ok(4, "crown poset gives 1 = 1 = 1 and the printed-relations diamond gives 0 = 0 = 0")
 
 
 def test_criterion_5_monomial_master_property(monomial_instances):

@@ -117,7 +117,7 @@ def test_run_check_agreement():
 
 def test_run_poset():
     r = run("poset", parse(fixture_text("crown.poset")))
-    assert r.methods == {"incidence_oracle": 1, "simplicial": 1}
+    assert r.methods == {"oracle": 1, "erelative": 1, "simplicial": 1}
     assert r.agree
 
 
@@ -354,13 +354,14 @@ def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):
     doc.write_text("poset p\nelement a\nelement b\nelement c\n"
                    "relation a <= b\nrelation b <= c\nrelation c <= a\nend\n")
     # a relation that is not transitive in three places, built without closure
-    script = ("from quiverh1.simplicial import Poset, validate_poset\n"
+    script = ("from quiverh1.simplicial import Poset\nfrom conftest import validate_poset\n"
               "r = {(e, e) for e in 'abc'} | {('a', 'b'), ('b', 'c'), ('c', 'a')}\n"
               "validate_poset(Poset(('a', 'b', 'c'), frozenset(r)))\n")
     src = str(FsPath(quiverh1.__file__).resolve().parents[1])
+    tests = str(FsPath(__file__).resolve().parent)  # where conftest keeps validate_poset
     outputs = set()
     for seed in range(6):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join((src, tests)))
         cli = subprocess.run([sys.executable, "-m", "quiverh1.cli", "poset", str(doc)],
                              env=env, capture_output=True, text=True)
         direct = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -415,8 +416,9 @@ def test_a_failed_bar_cross_check_is_a_mismatch(capsys, monkeypatch):
 
     monkeypatch.setattr(exactalg, "bar_cohomology_dims", h1_off_by_one)
     path = str(FIXTURE_DIR / "kronecker2.quiver")
-    for command in ("oracle", "check"):
-        assert main([command, "--json", path]) == EXIT_MISMATCH
+    crown = str(FIXTURE_DIR / "crown.poset")
+    for command, doc in (("oracle", path), ("check", path), ("poset", crown)):
+        assert main([command, "--json", doc]) == EXIT_MISMATCH
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["agree"] is False and report["dim_h1"] is None
         assert "erelative" in report["method"].split(",")

@@ -5,23 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quiverh1 import cli
 from quiverh1.errors import InvalidPoset
 from quiverh1.exactalg import h1_oracle, regular_bimodule
 from quiverh1.formulas import h1_path_algebra_acyclic
 from quiverh1.presentations import AlgebraPresentation
 from quiverh1.simplicial import (
     Poset,
-    gs_compare,
     incidence_algebra,
     order_complex,
     simplicial_h_dim,
-    validate_poset,
     _coboundary,
 )
 
 from conftest import (
     hasse_quiver, is_narrow, reference_covers, reference_from_pairs, reference_incidence_table,
-    reference_order_complex,
+    reference_order_complex, validate_poset,
 )
 
 
@@ -139,13 +138,18 @@ def _random_poset(rng: random.Random, n: int) -> Poset:
     return Poset.from_pairs(elems, pairs)
 
 
+def run_poset(p: Poset, prime=None) -> cli.RunReport:
+    """The ``poset`` command, which sets the Hochschild H^1 of the incidence algebra against
+    the simplicial H^1 of the order complex (Gerstenhaber-Schack), on the poset's document
+    written out and parsed back."""
+    return cli.run("poset", cli.parse(cli.serialize(cli.InputDocument("poset", "p", p))), prime)
+
+
 def test_gs_compare_fixed_posets():
-    assert gs_compare(crown()) == type(gs_compare(crown()))(1, 1)
-    assert gs_compare(crown()).agree
-    r = gs_compare(chain(3))
-    assert (r.dim_h1_incidence, r.dim_h1_simplicial) == (0, 0)
-    r = gs_compare(diamond_printed())
-    assert (r.dim_h1_incidence, r.dim_h1_simplicial) == (0, 0)
+    for p, dim in ((crown(), 1), (chain(3), 0), (diamond_printed(), 0)):
+        r = run_poset(p)
+        assert r.methods == {"oracle": dim, "erelative": dim, "simplicial": dim}
+        assert r.agree
     assert incidence_algebra(diamond_printed()).dimension == 9
 
 
@@ -153,7 +157,9 @@ def test_gs_compare_random_posets():
     rng = random.Random(35)
     for _ in range(15):
         p = _random_poset(rng, rng.randint(1, 6))
-        assert gs_compare(p).agree
+        for prime in (None, 2, 3):
+            r = run_poset(p, prime)
+            assert set(r.methods) == {"oracle", "erelative", "simplicial"} and r.agree
 
 
 def test_narrow_hasse_matches_path_algebra_formula():
