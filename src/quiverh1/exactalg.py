@@ -13,7 +13,10 @@ algebra multiplies basis elements to a basis element or zero, so the action
 of a basis element on a bimodule is an index map m -> n (x_m goes to x_n;
 absent m goes to zero).  Scalars are ints, read as rationals over Q and
 reduced mod p over a prime field; ranks over Q come from fraction-free
-integer elimination, so no rational number is ever formed.
+integer elimination, so no rational number is ever formed.  ``rank`` reads
+its rows once and sets unit rows (one nonzero entry) aside before it
+eliminates, so a caller may generate a system row by row, as
+``derivation_space_dim`` does, rather than hold it whole.
 """
 
 from __future__ import annotations
@@ -65,22 +68,45 @@ def is_prime(n: int) -> bool:
 def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
     """Rank of integer rows by sparse fraction-free elimination, over Q or GF(prime).
 
-    Pivot rows are kept keyed by their leading (minimum) column, so reducing a
-    new row only ever introduces larger columns and terminates.  A pivot is
-    stored as its leading entry and the tuple of its other entries.  Over Q a
-    row is divided by the gcd of its entries (signed so that the leading
-    entry is positive) before it becomes a pivot, and reducing a row by a
-    pivot with leading entry a replaces it by (a/g)*row - (row[c]/g)*pivot,
-    g = gcd(a, row[c]); entries stay integers.  Over GF(prime) a pivot is
-    scaled once to leading entry 1, so a reduction is one multiply-subtract;
-    prime must be prime.
+    The rows are read once, so any iterable will do, and are left unchanged.
+    Unit rows are set aside first: a row with one nonzero entry (mod prime)
+    puts the unit vector of its column in the row space, so its column joins
+    the set ``unit`` and is dropped from every other row, which is copied
+    once; a row that dropping leaves with one entry adds its column in turn,
+    until no column is added.  The rank is len(unit) plus the rank of what
+    is left.
+
+    That rest is eliminated with pivot rows keyed by their leading (minimum)
+    column, so reducing a new row only ever introduces larger columns and
+    terminates.  A pivot is stored as its leading entry and the tuple of its
+    other entries.  Over Q a row is divided by the gcd of its entries (signed
+    so that the leading entry is positive) before it becomes a pivot, and
+    reducing a row by a pivot with leading entry a replaces it by
+    (a/g)*row - (row[c]/g)*pivot, g = gcd(a, row[c]); entries stay integers.
+    Over GF(prime) a pivot is scaled once to leading entry 1, so a reduction
+    is one multiply-subtract; prime must be prime.
     """
-    pivots: dict = {}  # leading col -> (leading entry, ((col, entry), ...))
+    unit: set = set()  # columns whose unit vector is in the row space
+    longer: list[Row] = []
     for row in rows:
-        if prime:
-            row = {c: v % prime for c, v in row.items() if v % prime}
-        else:
-            row = {c: v for c, v in row.items() if v}
+        if len(row) == 1:
+            for c, v in row.items():
+                if v % prime if prime else v:
+                    unit.add(c)
+        elif row:
+            longer.append(row)
+    if prime:
+        rest = [{c: v % prime for c, v in row.items() if v % prime and c not in unit} for row in longer]
+    else:
+        rest = [{c: v for c, v in row.items() if v and c not in unit} for row in longer]
+    while new := {c for row in rest if len(row) == 1 for c in row}:
+        unit |= new
+        rest = [row for row in rest if len(row) > 1]
+        for row in rest:
+            for c in new.intersection(row):
+                del row[c]
+    pivots: dict = {}  # leading col -> (leading entry, ((col, entry), ...))
+    for row in rest:
         while row:
             c = min(row)
             f = row.pop(c)
@@ -110,7 +136,7 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
                     row[pc] = nv
                 else:
                     del row[pc]
-    return len(pivots)
+    return len(unit) + len(pivots)
 
 
 # --- bimodules ---------------------------------------------------------------
@@ -215,26 +241,26 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """Dimension of linear maps f with f(ab) = a.f(b) + f(a).b on all basis pairs.
 
     Unknowns f[b][m] are indexed b * dim(x) + m, in basis-pair lexicographic
-    order, so intermediate matrices are reproducible.
+    order, so intermediate matrices are reproducible.  The rows of each pair
+    are generated as ``rank`` reads them, so the system is never held whole.
     """
     alg = x.algebra
     d, dx = alg.dimension, x.dim
-    rows: list[Row] = []
-    for i in range(d):
-        li = x.left[i]
-        for j in range(d):
-            rj = x.right[j]
-            by_row: dict[int, Row] = {}
-            k = alg.table.get((i, j))
-            if k is not None:
-                for m in range(dx):
-                    _add(by_row, m, k * dx + m, 1)
-            for jj, m in li.items():
-                _add(by_row, m, j * dx + jj, -1)
-            for jj, m in rj.items():
-                _add(by_row, m, i * dx + jj, -1)
-            rows.extend(r for r in by_row.values() if r)
-    return d * dx - rank(rows, prime=prime)
+
+    def rows():
+        for i in range(d):
+            li = x.left[i]
+            for j in range(d):
+                rj = x.right[j]
+                k = alg.table.get((i, j))
+                by_row: dict[int, Row] = {} if k is None else {m: {k * dx + m: 1} for m in range(dx)}
+                for jj, m in li.items():
+                    _add(by_row, m, j * dx + jj, -1)
+                for jj, m in rj.items():
+                    _add(by_row, m, i * dx + jj, -1)
+                yield from (r for r in by_row.values() if r)
+
+    return d * dx - rank(rows(), prime=prime)
 
 
 def inner_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:

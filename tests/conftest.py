@@ -19,6 +19,8 @@ from quiverh1.presentations import (
 )
 from quiverh1.simplicial import OrderComplex, Poset, _in_element_order
 
+from poset_checks import validate_poset  # noqa: F401  (re-exported for the tests)
+
 FIXTURE_DIR = FsPath(__file__).resolve().parents[1] / "fixtures"
 
 # every property test is reproducible and untimed; each @settings gives only its max_examples
@@ -170,21 +172,6 @@ def hasse_quiver(p: Poset) -> Quiver:
     """One arrow from x to y for each cover x > y."""
     arrows = [Arrow(f"{x}>{y}", x, y) for (x, y) in p.covers()]
     return Quiver(p.elements, arrows)
-
-
-def validate_poset(p: Poset) -> Poset:
-    """Re-check the order axioms on the stored relation; reports the first violation in
-    element order."""
-    for a in p.elements:
-        if (a, a) not in p.relation:
-            raise InvalidPoset(f"reflexivity violation at {a!r}")
-    for a, b in p.comparable_pairs():
-        if a != b and (b, a) in p.relation:
-            raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
-        for c in p.elements:
-            if (b, c) in p.relation and (a, c) not in p.relation:
-                raise InvalidPoset(f"transitivity violation: {a!r} <= {b!r} <= {c!r}")
-    return p
 
 
 def is_narrow(quiver: Quiver) -> bool:

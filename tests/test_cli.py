@@ -354,11 +354,11 @@ def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):
     doc.write_text("poset p\nelement a\nelement b\nelement c\n"
                    "relation a <= b\nrelation b <= c\nrelation c <= a\nend\n")
     # a relation that is not transitive in three places, built without closure
-    script = ("from quiverh1.simplicial import Poset\nfrom conftest import validate_poset\n"
+    script = ("from quiverh1.simplicial import Poset\nfrom poset_checks import validate_poset\n"
               "r = {(e, e) for e in 'abc'} | {('a', 'b'), ('b', 'c'), ('c', 'a')}\n"
               "validate_poset(Poset(('a', 'b', 'c'), frozenset(r)))\n")
     src = str(FsPath(quiverh1.__file__).resolve().parents[1])
-    tests = str(FsPath(__file__).resolve().parent)  # where conftest keeps validate_poset
+    tests = str(FsPath(__file__).resolve().parent)  # where poset_checks keeps validate_poset
     outputs = set()
     for seed in range(6):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join((src, tests)))
