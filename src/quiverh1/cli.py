@@ -21,7 +21,8 @@ Exit statuses: 0 success/agreement, 1 mismatch of two methods, 2 input error,
 the document's kind into one report; the oracle adds two, derivations modulo
 inner ones (``oracle``) and the E-relative bar complex (``erelative``), and on a
 poset ``check`` and ``poset`` (a second name for it) set both against dim H^1 of
-the order complex.  An error that ends the run exits 2 or 3.  Otherwise the
+the order complex.  An error that ends the run exits 2 or 3, or 1 when a
+cochain complex has a nonzero composite delta . delta.  Otherwise the
 report is printed if a method gave a number, a method with no formula adds the
 "formula unavailable" error, and the status is 1 on disagreement, else 3 if a
 method was unavailable, else 0: ``check`` with no formula exits 1 when
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import exactalg, formulas, simplicial
-from .errors import FormulaUnavailable, GuardExceeded, InvalidIdeal, ParseError, QuiverH1Error
+from .errors import ComplexFault, FormulaUnavailable, GuardExceeded, InvalidIdeal, InvalidPoset, ParseError, QuiverH1Error
 from .presentations import (
     AlgebraPresentation,
     TruncationIdeal,
@@ -192,10 +193,9 @@ def parse(text: str) -> InputDocument:
 
     if kind == "poset":
         try:
-            poset = Poset.from_pairs(elements, pairs)
-        except QuiverH1Error as exc:
-            raise ParseError(_first_bad_pair_line(elements, pairs, pair_lines), str(exc))
-        return InputDocument(kind, name, poset)
+            return InputDocument(kind, name, Poset.from_pairs(elements, pairs))
+        except InvalidPoset as exc:
+            raise ParseError(pair_lines[exc.pair], str(exc))
 
     quiver = Quiver(vertices, arrows)
     try:
@@ -223,16 +223,6 @@ def parse(text: str) -> InputDocument:
     except QuiverH1Error as exc:
         raise ParseError(1, str(exc))
     return InputDocument(kind, name, AlgebraPresentation(quiver, scheme))
-
-
-def _first_bad_pair_line(elements: list[str], pairs: list[tuple[str, str]], lines: list[int]) -> int:
-    """The line of the first pair after which the pairs read so far are no longer a partial order."""
-    for k, line in enumerate(lines, start=1):
-        try:
-            Poset.from_pairs(elements, pairs[:k])
-        except QuiverH1Error:
-            return line
-    return 1
 
 
 def serialize(doc: InputDocument) -> str:
@@ -395,6 +385,8 @@ def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
         report = run(args.command, parse(text), prime, args.max_dim)
     except (OSError, UnicodeDecodeError, QuiverH1Error) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
+        if isinstance(exc, ComplexFault):
+            return EXIT_MISMATCH
         return EXIT_UNSUPPORTED if isinstance(exc, (FormulaUnavailable, GuardExceeded)) else EXIT_INPUT
     if report.methods:
         _print_report(report, args.json, args.per_component)

@@ -39,7 +39,16 @@ class GuardExceeded(QuiverH1Error):
 
 
 class InvalidPoset(QuiverH1Error):
-    """The relation is not a partial order (antisymmetry failure)."""
+    """The relation is not a partial order (antisymmetry failure) or names an unknown element;
+    ``pair`` is the index of the first input pair that closes a cycle or names it, if known."""
+
+    def __init__(self, message: str, pair=None):
+        super().__init__(message)
+        self.pair = pair
+
+
+class ComplexFault(QuiverH1Error):
+    """A cochain complex is not one: a composite of two coboundaries has a nonzero entry."""
 
 
 class ParseError(QuiverH1Error):

@@ -6,7 +6,8 @@ dimensions are obtained from exact ranks of sparse coboundary/Leibniz
 systems, never from floating point.  H^1 is found twice, from unrelated
 systems: derivations modulo inner ones on all of the algebra (``h1_oracle``),
 and the E-relative normalised bar complex on chains of radical basis
-elements (``bar_cohomology_dims``, degrees 0-2).
+elements (``bar_cohomology_dims``, degrees 0-2).  It and the order complex of
+``simplicial`` count H^n with ``cohomology_dims``, which checks delta . delta = 0.
 
 Sparse conventions: a matrix row is a dict column -> nonzero scalar.  An
 algebra multiplies basis elements to a basis element or zero, so the action
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .errors import GuardExceeded, NotApplicable
+from .errors import ComplexFault, GuardExceeded, NotApplicable
 from .presentations import Combo, StructureConstantAlgebra, composite_failures
 from .quiver import VertexId
 
@@ -137,6 +138,27 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
                 else:
                     del row[pc]
     return len(unit) + len(pivots)
+
+
+def cohomology_dims(coboundary: Callable[[int], tuple[int, dict[int, Row]]], degrees: tuple[int, ...],
+                    prime: Optional[int] = None) -> dict[int, int]:
+    """dim H^n = dim C^n - rank delta^n - rank delta^(n-1) at each of the degrees, where
+    ``coboundary(n)`` gives dim C^n and the rows of delta^n keyed by their C^(n+1) index.
+    Each coboundary needed is built and ranked once.  When delta^(n-1) and delta^n are both
+    built, their composite is computed over the integers, whatever the field, and its first
+    nonzero entry (least row, then least column) raises ComplexFault."""
+    dims, ranks, lower = {}, {-1: 0}, {}
+    for n in sorted({m for n in degrees for m in (n - 1, n) if m >= 0}):
+        dims[n], rows = coboundary(n)
+        for r in sorted(rows) if n - 1 in dims else ():
+            acc: dict[int, int] = {}
+            for k, v in rows[r].items():
+                for c, w in lower.get(k, {}).items():
+                    acc[c] = acc.get(c, 0) + v * w
+            if bad := sorted(c for c, v in acc.items() if v):
+                raise ComplexFault(f"delta^{n} . delta^{n - 1} is not zero: entry ({r}, {bad[0]}) is {acc[bad[0]]}")
+        ranks[n], lower = rank(rows.values(), prime=prime), rows
+    return {n: dims[n] - ranks[n] - ranks[n - 1] for n in degrees}
 
 
 # --- bimodules ---------------------------------------------------------------
@@ -276,16 +298,17 @@ def h1_oracle(x: BimoduleRep, prime: Optional[int] = None) -> int:
 # --- bar complex -------------------------------------------------------------
 
 
-def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, list[Row]]:
-    """dim C^n and the sparse rows of the coboundary C^n -> C^{n+1} of the E-relative
-    normalised complex C^n = Hom_{E-E}(r^(tensor_E n), X).
+def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, dict[int, Row]]:
+    """dim C^n and the sparse rows, keyed by their C^{n+1} index, of the coboundary
+    C^n -> C^{n+1} of the E-relative normalised complex C^n = Hom_{E-E}(r^(tensor_E n), X).
 
     An unknown of C^n is a chain (s, r_1 ... r_n, t) of non-idempotent basis elements
     from s to t (the empty chain at v when n = 0) and an x_m in the slice e_s X e_t.  A
     row is one component of the value on a chain a_1 ... a_{n+1}: a_1.f(a_2, ...) +
     sum (-1)^i f(..., a_i a_{i+1}, ...) + (-1)^(n+1) f(..., a_n).a_{n+1}, where a term
-    whose product is zero is dropped.  Endpoints of the basis are read off the table
-    (e_s b = b = b e_t), and the slice of x_m off the idempotents' actions.
+    whose product is zero is dropped.  The rows come in the order of the chains of
+    C^{n+1}, so a running offset gives each its index.  Endpoints of the basis are read
+    off the table (e_s b = b = b e_t), and the slice of x_m off the idempotents' actions.
     """
     alg, vertex = x.algebra, {e: v for v, e in x.algebra.vertex_idempotents.items()}
     src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
@@ -306,7 +329,8 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, list[Row]]:
     for s, c, t in chains:
         offset[(s, c, t)] = cols
         cols += len(slices[(s, t)])
-    rows: list[Row] = []
+    rows: dict[int, Row] = {}
+    upper = 0  # the C^{n+1} index of the first x_m on the chain a_1 ... a_{n+1}
     for s, c, t in chains:
         for b in starting.get(t, ()):
             args, end = c + (b,), tgt[b]
@@ -323,15 +347,16 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, list[Row]]:
                     m = j if op is None else op.get(j)
                     if m is not None:
                         _add(by_row, m, offset[key] + pos[j], sign)
-            rows.extend(r for r in by_row.values() if r)
+            rows.update((upper + pos[m], r) for m, r in by_row.items() if r)
+            upper += len(slices[(s, end)])
     return cols, rows
 
 
 def bar_cohomology_dims(
     x: BimoduleRep, degrees: tuple[int, ...], prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
 ) -> dict[int, int]:
-    """Hochschild cohomology at each of the degrees (0, 1 or 2); each coboundary needed
-    is assembled and ranked once.
+    """Hochschild cohomology at each of the degrees (0, 1 or 2), by ``cohomology_dims``
+    on the E-relative normalised complex.
 
     Theorem (Happel 1989; Cibils 2000): E = kQ_0 is separable over every field, so
     for Lambda = E + r the complex Hom_{E-E}(r^(tensor_E n), X) computes HH^n(Lambda, X).
@@ -345,12 +370,7 @@ def bar_cohomology_dims(
     d = x.algebra.dimension
     if 2 in degrees and d > max_dim:
         raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
-    # H^n = dim C^n - rank(delta^n) - rank(delta^(n-1))
-    cols, ranks = {}, {-1: 0}
-    for m in sorted({m for n in degrees for m in (n - 1, n) if m >= 0}):
-        cols[m], rows = _bar_coboundary_rows(x, m)
-        ranks[m] = rank(rows, prime=prime)
-    return {n: cols[n] - ranks[n] - ranks[n - 1] for n in degrees}
+    return cohomology_dims(lambda n: _bar_coboundary_rows(x, n), degrees, prime=prime)
 
 
 def bar_cohomology_dim(

@@ -4,9 +4,12 @@ against the Hochschild H^1 of the incidence algebra.
 
 Input relations may be cover pairs or arbitrary comparabilities; the
 reflexive-transitive closure is computed before validation, so hand-written
-files need not list composite relations.  The closure is one Warshall pass;
-covers and chains are read off the cached up-sets (``Poset.above``), and the
-incidence algebra multiplies each pair only with the pairs that start at its end.
+files need not list composite relations.  The closure adds the pairs to the
+up-sets one at a time, so the first pair that closes a cycle is known; covers
+and chains are read off the cached up-sets (``Poset.above``), and the incidence
+algebra multiplies each pair only with the pairs that start at its end.  The
+cohomology is ``exactalg.cohomology_dims`` on the coboundaries of the order
+complex, which checks delta^1 . delta^0 = 0 over the integers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidPoset
-from .exactalg import Row, rank
+from .exactalg import Row, cohomology_dims
 from .presentations import StructureConstantAlgebra
 
 
@@ -29,21 +32,25 @@ class Poset:
 
     @classmethod
     def from_pairs(cls, elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Poset":
-        """The closure of the pairs by one Warshall pass: for each b, every a <= b gains every c >= b."""
+        """The closure of the pairs, added one at a time: on (a, b), every x <= a gains every
+        c >= b.  On a cycle, the error names the first violating couple of the whole
+        closure and carries the index of the first pair (a, b) with b <= a, a != b."""
         elements = tuple(elements)
         up = {a: {a} for a in elements}  # up[a] = every c with a <= c, so far
-        for a, b in pairs:
+        cycle = None
+        for k, (a, b) in enumerate(pairs):
             if a not in up or b not in up:
-                raise InvalidPoset(f"relation mentions unknown element: {a!r} <= {b!r}")
-            up[a].add(b)
-        for b in up:
-            for a in up:
-                if b in up[a]:
-                    up[a] |= up[b]
+                raise InvalidPoset(f"relation mentions unknown element: {a!r} <= {b!r}", k)
+            if cycle is None and a != b and a in up[b]:
+                cycle = k
+            if b not in up[a]:
+                for x in up.values():
+                    if a in x:
+                        x |= up[b]
         leq = {(a, c) for a in up for c in up[a]}
         for a, b in _in_element_order(elements, leq):
             if a != b and (b, a) in leq:
-                raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}")
+                raise InvalidPoset(f"antisymmetry violation: {a!r} <= {b!r} <= {a!r}", cycle)
         return cls(elements, frozenset(leq))
 
     def leq(self, a: str, b: str) -> bool:
@@ -102,44 +109,18 @@ def order_complex(p: Poset) -> OrderComplex:
     return OrderComplex({0: sorted((e,) for e in p.elements), 1: sorted(edges), 2: sorted(triangles)})
 
 
-def _coboundary(complex_: OrderComplex, p: int) -> list[Row]:
-    """The rows of delta^p : C^p -> C^{p+1}, one per (p+1)-simplex, with the alternating-sum
-    face convention; a column is a p-simplex."""
+def _coboundary(complex_: OrderComplex, p: int) -> tuple[int, dict[int, Row]]:
+    """The number of p-simplices and the rows of delta^p : C^p -> C^{p+1}, keyed by their
+    (p+1)-simplex, with the alternating-sum face convention; a column is a p-simplex.
+    Every face of a chain is a chain, and the faces of one chain are distinct."""
     lower = complex_.simplices_by_dim.get(p, [])
-    upper = complex_.simplices_by_dim.get(p + 1, [])
     col = {s: i for i, s in enumerate(lower)}
-    rows = []
-    for sigma in upper:
-        row = {}
-        for i in range(len(sigma)):
-            face = sigma[:i] + sigma[i + 1 :]
-            j = col.get(face)
-            if j is not None:
-                row[j] = row.get(j, 0) + (-1) ** i
-        rows.append({k: v for k, v in row.items() if v})
-    return rows
+    return len(lower), {k: {col[sigma[:i] + sigma[i + 1 :]]: (-1) ** i for i in range(len(sigma))}
+                        for k, sigma in enumerate(complex_.simplices_by_dim.get(p + 1, []))}
 
 
 def simplicial_h_dim(c: OrderComplex, degree: int, prime: Optional[int] = None) -> int:
     """Cohomology dimension with field coefficients at degree 0 or 1."""
     if degree not in (0, 1):
         raise ValueError("degree must be 0 or 1")
-    d0 = _coboundary(c, 0)
-    d1 = _coboundary(c, 1)
-    _assert_composite_zero(d0, d1)
-    r0 = rank(d0, prime=prime)
-    if degree == 0:
-        return c.n_simplices(0) - r0
-    r1 = rank(d1, prime=prime)
-    return (c.n_simplices(1) - r1) - r0
-
-
-def _assert_composite_zero(d0: list[Row], d1: list[Row]) -> None:
-    # d1 rows x d0 cols: composite (d1 . d0) must vanish
-    for row in d1:
-        acc: dict[int, int] = {}
-        for c1, v1 in row.items():
-            for c0, v0 in d0[c1].items():
-                acc[c0] = acc.get(c0, 0) + v1 * v0
-        if any(acc.values()):
-            raise AssertionError("coboundary composite is nonzero")
+    return cohomology_dims(lambda p: _coboundary(c, p), (degree,), prime)[degree]

@@ -201,7 +201,7 @@ def test_criterion_10_internal_consistency(monomial_instances):
         # opposite-algebra invariance
         assert h1_oracle(regular_bimodule(alg.opposite())) == h1_oracle(rep)
 
-    # coboundary composites vanish on order complexes (checked inside simplicial_h_dim)
+    # coboundary composites vanish on order complexes (checked in exactalg.cohomology_dims)
     from quiverh1.simplicial import order_complex, simplicial_h_dim
 
     rng = random.Random(43)

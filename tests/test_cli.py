@@ -306,6 +306,19 @@ def test_parse_reports_an_antisymmetry_violation_at_its_own_line():
         assert exc.value.line == line
 
 
+def test_parse_closes_a_poset_with_a_cycle_once(monkeypatch):
+    from quiverh1.simplicial import Poset
+
+    calls = []
+    real = Poset.from_pairs
+    monkeypatch.setattr(Poset, "from_pairs", lambda *args: calls.append(args) or real(*args))
+    chain = "".join(f"element e{i}\n" for i in range(30)) + "".join(f"relation e{i} <= e{i + 1}\n" for i in range(29))
+    with pytest.raises(ParseError, match="antisymmetry violation") as exc:
+        parse("poset p\n" + chain + "relation e29 <= e0\nrelation e1 <= e0\nend\n")
+    assert exc.value.line == 61  # the pair that closes the cycle, not the later one
+    assert len(calls) == 1
+
+
 def test_check_runs_the_oracle_when_no_formula_applies(tmp_path, capsys):
     square = tmp_path / "square.quiver"  # k[x]/(x^2)
     square.write_text("quiver square\nvertex v\narrow x v v\nrelation monomial x x\nend\n")
@@ -347,6 +360,32 @@ def test_check_on_a_poset_compares_the_oracle_with_the_order_complex(capsys, mon
     monkeypatch.setattr(simplicial, "simplicial_h_dim", lambda *a: real(*a) + 1)
     assert main(["check", str(FIXTURE_DIR / "crown.poset")]) == EXIT_MISMATCH
     assert "agreement: MISMATCH" in capsys.readouterr().out
+
+
+def test_a_complex_with_a_nonzero_composite_is_a_mismatch(capsys, monkeypatch):
+    """A coboundary with every entry made positive is no longer a complex; check names the
+    nonzero entry of delta^1 . delta^0 on one error line and exits 1, with no traceback."""
+    from quiverh1 import exactalg, simplicial
+
+    def absolute(real):
+        def rows(*args):
+            cols, rows = real(*args)
+            return cols, {k: {j: abs(v) for j, v in row.items()} for k, row in rows.items()}
+        return rows
+
+    diamond, couple = str(FIXTURE_DIR / "diamond-printed.poset"), str(FIXTURE_DIR / "effective-couple.quiver")
+    for module, name, paths in ((simplicial, "_coboundary", (diamond,)),
+                                (exactalg, "_bar_coboundary_rows", (diamond, couple))):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, absolute(getattr(module, name)))
+            for path in paths:
+                assert main(["check", path]) == EXIT_MISMATCH
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert re.fullmatch(rf"error: {re.escape(path)}: delta\^1 \. delta\^0 is not zero: "
+                                    r"entry \(\d+, \d+\) is -?\d+\n", captured.err)
+    for path in (diamond, couple):
+        assert main(["check", path]) == EXIT_OK
 
 
 def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):

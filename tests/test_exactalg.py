@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiverh1.cli import parse
-from quiverh1.errors import GuardExceeded, InfiniteBasis, NotApplicable
+from quiverh1.errors import ComplexFault, GuardExceeded, InfiniteBasis, NotApplicable
 from quiverh1.exactalg import (
     BimoduleRep,
     bar_cohomology_dim,
     bar_cohomology_dims,
+    cohomology_dims,
     derivation_space_dim,
     h1_oracle,
     inner_dim,
@@ -358,6 +359,41 @@ def test_bar_dims_rank_each_coboundary_once(monkeypatch):
         assert bar_cohomology_dims(rep, (2,)) == {2: expected[2]}
     with pytest.raises(ValueError):
         bar_cohomology_dims(rep, (1, 3))
+
+
+def test_cohomology_dims_counts_each_degree():
+    # 0 -> k --1--> k --0--> k^2: H^0 = 0, H^1 = 0, H^2 = 2, and delta^1 . delta^0 = 0
+    rows = {0: (1, {0: {0: 1}}), 1: (1, {}), 2: (2, {})}
+    assert cohomology_dims(rows.__getitem__, (0, 1, 2)) == {0: 0, 1: 0, 2: 2}
+    assert cohomology_dims(rows.__getitem__, (2,), prime=2) == {2: 2}
+
+
+def test_cohomology_dims_rejects_a_nonzero_composite():
+    non_complex = {0: (1, {0: {0: 1}}), 1: (1, {0: {0: 1}})}  # delta^0 = delta^1 = [[1]]
+    with pytest.raises(ComplexFault, match=r"^delta\^1 \. delta\^0 is not zero: entry \(0, 0\) is 1$"):
+        cohomology_dims(non_complex.__getitem__, (1,))
+    zero_mod_2 = {0: (1, {0: {0: 1}}), 1: (1, {3: {0: 2}})}  # delta^1 . delta^0 = 2 at row 3
+    for prime in (None, 2):
+        with pytest.raises(ComplexFault, match=r"entry \(3, 0\) is 2$"):
+            cohomology_dims(zero_mod_2.__getitem__, (1,), prime=prime)
+    assert cohomology_dims(non_complex.__getitem__, (0,)) == {0: 0}  # delta^1 is not built
+
+
+def test_bar_dims_check_the_composite_of_the_coboundaries_they_build(monkeypatch):
+    from quiverh1 import exactalg
+
+    rep = regular_bimodule(truncated_polynomials(3))
+    assert bar_cohomology_dims(rep, (2,)) == {2: 2}
+    real = exactalg._bar_coboundary_rows
+
+    def absolute_delta2(x, n):  # every entry of delta^2 made positive
+        cols, rows = real(x, n)
+        return cols, {k: {j: abs(v) for j, v in row.items()} for k, row in rows.items()} if n == 2 else rows
+
+    monkeypatch.setattr(exactalg, "_bar_coboundary_rows", absolute_delta2)
+    with pytest.raises(ComplexFault, match=r"^delta\^2 \. delta\^1 is not zero"):
+        bar_cohomology_dims(rep, (2,))
+    assert bar_cohomology_dims(rep, (0, 1)) == {0: 3, 1: 2}  # delta^2 is not built
 
 
 def truncated_polynomials(m: int):

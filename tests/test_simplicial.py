@@ -83,8 +83,8 @@ def test_coboundary_composite_vanishes():
     for _ in range(20):
         p = _random_poset(rng, rng.randint(1, 6))
         c = order_complex(p)
-        d0, d1 = _coboundary(c, 0), _coboundary(c, 1)
-        for row in d1:
+        (_, d0), (_, d1) = _coboundary(c, 0), _coboundary(c, 1)
+        for row in d1.values():
             acc = {}
             for c1, v1 in row.items():
                 for c0, v0 in d0[c1].items():

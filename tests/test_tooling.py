@@ -82,13 +82,13 @@ def test_the_package_modules_import_one_another_without_a_cycle():
 
 
 def test_the_order_complex_shares_no_oracle_code():
-    """simplicial takes only the row type and the elimination kernel from exactalg, so the
+    """simplicial takes only the row type and the H^n count from exactalg, so the
     simplicial H^1 stays a check independent of both Hochschild oracles."""
     imports = [node for node in ast.walk(ast.parse((ROOT / "src" / "quiverh1" / "simplicial.py").read_text()))
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not any(alias.name.endswith("exactalg") for node in imports for alias in node.names)
     assert {alias.name for node in imports if isinstance(node, ast.ImportFrom)
-            and node.module in ("exactalg", "quiverh1.exactalg") for alias in node.names} == {"Row", "rank"}
+            and node.module in ("exactalg", "quiverh1.exactalg") for alias in node.names} == {"Row", "cohomology_dims"}
 
 
 # Top-level definitions that stay in the package with no caller there, and why.
