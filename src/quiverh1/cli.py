@@ -19,14 +19,14 @@ File grammar (line-oriented, '#' starts a comment):
 Exit statuses: 0 success/agreement, 1 mismatch of two methods, 2 input error,
 3 unsupported.  Each command runs the methods that ``METHODS`` lists for it and
 the document's kind into one report; the oracle adds two, derivations modulo
-inner ones (``oracle``) and the E-relative bar complex (``erelative``), and on a
-poset ``check`` and ``poset`` (a second name for it) set both against dim H^1 of
-the order complex.  An error that ends the run exits 2 or 3, or 1 when a
-cochain complex has a nonzero composite delta . delta.  Otherwise the
-report is printed if a method gave a number, a method with no formula adds the
-"formula unavailable" error, and the status is 1 on disagreement, else 3 if a
-method was unavailable, else 0: ``check`` with no formula exits 1 when
-``oracle`` and ``erelative`` disagree, else 3.
+inner ones (``oracle``) and the E-relative bar complex (``erelative``), whose
+H^0 is the check ``bar_h0``; on a poset ``check`` and ``poset`` (a second name
+for it) set both against dim H^1 of the order complex.  An error that ends the
+run exits 2 or 3, or 1 when a cochain complex has a nonzero composite
+delta . delta.  Otherwise the report is printed if a method gave a number, a
+method with no formula adds the "formula unavailable" error, and the status is
+1 on disagreement, else 3 if a method was unavailable, else 0: ``check`` with
+no formula exits 1 when ``oracle`` and ``erelative`` disagree, else 3.
 Every file is run and reported; with several files the exit status is the
 worst one, in the order mismatch 1 > input error 2 > unsupported 3 > success 0.
 """
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import exactalg, formulas, simplicial
-from .errors import ComplexFault, FormulaUnavailable, GuardExceeded, InvalidIdeal, InvalidPoset, ParseError, QuiverH1Error
+from .errors import ComplexFault, FormulaUnavailable, InvalidIdeal, InvalidPoset, ParseError, QuiverH1Error
 from .presentations import (
     AlgebraPresentation,
     TruncationIdeal,
@@ -255,7 +255,7 @@ def _field_label(prime: Optional[int]) -> str:
     return "q" if prime is None else f"fp:{prime}"
 
 
-def _formula(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
+def _formula(out: RunReport, doc: InputDocument, prime: Optional[int]) -> None:
     report = formulas.classify_and_compute(doc.body)
     out.methods[report.method] = report.dim_h1
     out.intermediates.update(report.intermediates)
@@ -263,20 +263,19 @@ def _formula(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: 
         out.intermediates["per_component"] = report.per_component
 
 
-def _oracle(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
+def _oracle(out: RunReport, doc: InputDocument, prime: Optional[int]) -> None:
     algebra = simplicial.incidence_algebra(doc.body) if doc.kind == "poset" else build_algebra(doc.body)
     rep = exactalg.regular_bimodule(algebra)
     dim_derivations = exactalg.derivation_space_dim(rep, prime=prime)
     dim_inner = exactalg.inner_dim(rep, prime=prime)
     out.methods["oracle"] = dim_derivations - dim_inner
     out.intermediates.update(dim_algebra=algebra.dimension, dim_derivations=dim_derivations, dim_inner=dim_inner)
-    degrees = (0, 1, 2) if algebra.dimension <= max_dim else (0, 1)
-    bar = exactalg.bar_cohomology_dims(rep, degrees, prime=prime, max_dim=max_dim)
-    out.methods["erelative"] = bar.pop(1)
-    out.checks.update({f"bar_h{deg}": dim for deg, dim in bar.items()})
+    bar = exactalg.bar_cohomology_dims(rep, (0, 1), prime=prime)
+    out.methods["erelative"] = bar[1]
+    out.checks["bar_h0"] = bar[0]
 
 
-def _order_complex(out: RunReport, doc: InputDocument, prime: Optional[int], max_dim: int) -> None:
+def _order_complex(out: RunReport, doc: InputDocument, prime: Optional[int]) -> None:
     out.methods["simplicial"] = simplicial.simplicial_h_dim(simplicial.order_complex(doc.body), 1, prime)
 
 
@@ -291,8 +290,7 @@ METHODS = {
 }
 
 
-def run(command: str, doc: InputDocument, prime: Optional[int] = None,
-        max_dim: int = exactalg.DEFAULT_DEGREE2_GUARD) -> RunReport:
+def run(command: str, doc: InputDocument, prime: Optional[int] = None) -> RunReport:
     """Run the command's methods on one document into one report.  A method that raises
     FormulaUnavailable is recorded as ``unavailable`` and the others still run; any other
     error ends the run.  ``formula`` labels its report q whatever the field."""
@@ -303,7 +301,7 @@ def run(command: str, doc: InputDocument, prime: Optional[int] = None,
     out = RunReport(doc.name, "q" if command == "formula" else _field_label(prime))
     for method in METHODS[command, doc.kind]:
         try:
-            method(out, doc, prime, max_dim)
+            method(out, doc, prime)
         except FormulaUnavailable as exc:
             out.unavailable = exc
     out.elapsed = time.perf_counter() - t0
@@ -359,8 +357,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("files", nargs="+", help="input document files")
     parser.add_argument("--field", default="q", help="q (rationals, default) or fp:<prime>")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--max-dim", type=int, default=exactalg.DEFAULT_DEGREE2_GUARD,
-                        help="largest algebra dimension at which HH^2 (bar_h2) is computed")
     parser.add_argument("--per-component", action="store_true", help="print component breakdowns")
     return parser
 
@@ -382,12 +378,12 @@ def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        report = run(args.command, parse(text), prime, args.max_dim)
+        report = run(args.command, parse(text), prime)
     except (OSError, UnicodeDecodeError, QuiverH1Error) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         if isinstance(exc, ComplexFault):
             return EXIT_MISMATCH
-        return EXIT_UNSUPPORTED if isinstance(exc, (FormulaUnavailable, GuardExceeded)) else EXIT_INPUT
+        return EXIT_UNSUPPORTED if isinstance(exc, FormulaUnavailable) else EXIT_INPUT
     if report.methods:
         _print_report(report, args.json, args.per_component)
     if report.unavailable:

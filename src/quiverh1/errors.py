@@ -34,10 +34,6 @@ class FormulaUnavailable(QuiverH1Error):
     """No closed formula applies; the caller should fall back to the oracle."""
 
 
-class GuardExceeded(QuiverH1Error):
-    """An oracle dimension guard was exceeded; raise the guard to proceed."""
-
-
 class InvalidPoset(QuiverH1Error):
     """The relation is not a partial order (antisymmetry failure) or names an unknown element;
     ``pair`` is the index of the first input pair that closes a cycle or names it, if known."""

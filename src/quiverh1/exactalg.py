@@ -26,13 +26,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .errors import ComplexFault, GuardExceeded, NotApplicable
+from .errors import ComplexFault, NotApplicable
 from .presentations import Combo, StructureConstantAlgebra, composite_failures
 from .quiver import VertexId
 
 Row = dict  # column -> scalar
-
-DEFAULT_DEGREE2_GUARD = 12
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
@@ -352,11 +350,10 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, dict[int, Row]]:
     return cols, rows
 
 
-def bar_cohomology_dims(
-    x: BimoduleRep, degrees: tuple[int, ...], prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
-) -> dict[int, int]:
+def bar_cohomology_dims(x: BimoduleRep, degrees: tuple[int, ...], prime: Optional[int] = None) -> dict[int, int]:
     """Hochschild cohomology at each of the degrees (0, 1 or 2), by ``cohomology_dims``
-    on the E-relative normalised complex.
+    on the E-relative normalised complex.  The CLI asks for degrees 0 and 1; degree 2
+    also builds delta^2, on the chains of length 3.
 
     Theorem (Happel 1989; Cibils 2000): E = kQ_0 is separable over every field, so
     for Lambda = E + r the complex Hom_{E-E}(r^(tensor_E n), X) computes HH^n(Lambda, X).
@@ -367,14 +364,9 @@ def bar_cohomology_dims(
     """
     if not set(degrees) <= {0, 1, 2}:
         raise ValueError("degree must be 0, 1 or 2")
-    d = x.algebra.dimension
-    if 2 in degrees and d > max_dim:
-        raise GuardExceeded(f"dimension guard exceeded: dim {d} > {max_dim} for degree 2")
     return cohomology_dims(lambda n: _bar_coboundary_rows(x, n), degrees, prime=prime)
 
 
-def bar_cohomology_dim(
-    x: BimoduleRep, degree: int, prime: Optional[int] = None, max_dim: int = DEFAULT_DEGREE2_GUARD
-) -> int:
+def bar_cohomology_dim(x: BimoduleRep, degree: int, prime: Optional[int] = None) -> int:
     """Hochschild cohomology at degree 0, 1 or 2 from the E-relative normalised complex."""
-    return bar_cohomology_dims(x, (degree,), prime=prime, max_dim=max_dim)[degree]
+    return bar_cohomology_dims(x, (degree,), prime=prime)[degree]

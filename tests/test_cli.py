@@ -465,39 +465,49 @@ def test_a_failed_bar_cross_check_is_a_mismatch(capsys, monkeypatch):
     assert "agreement: MISMATCH" in capsys.readouterr().out
 
 
-def test_max_dim_decides_which_reports_carry_the_bar_check(tmp_path, capsys):
+def test_every_oracle_report_carries_bar_h0_alone(tmp_path, capsys):
+    """The E-relative complex gives H^1 as a method and H^0 as the one bar check, at
+    every dimension; no flag asks for more."""
     a5 = tmp_path / "a5.quiver"  # the linear A5 path algebra, d = 15
     a5.write_text("quiver a5\n" + "".join(f"vertex v{i}\n" for i in range(5))
                   + "".join(f"arrow a{i} v{i} v{i + 1}\n" for i in range(4)) + "end\n")
-    kronecker2 = FIXTURE_DIR / "kronecker2.quiver"
+    kronecker2 = FIXTURE_DIR / "kronecker2.quiver"  # d = 4
 
-    def bar(path, *flags):
+    def bar(path):
         """The report's methods and its bar_* checks."""
-        assert main(["check", "--json", *flags, str(path)]) == EXIT_OK
+        assert main(["check", "--json", str(path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         return report["method"], {key for key in report["checks"] if key.startswith("bar_")}
 
     assert bar(a5) == ("path_algebra_acyclic,oracle,erelative", {"bar_h0"})
-    assert bar(a5, "--max-dim", "15") == ("path_algebra_acyclic,oracle,erelative", {"bar_h0", "bar_h2"})
-    assert bar(kronecker2) == ("path_algebra_acyclic,oracle,erelative", {"bar_h0", "bar_h2"})
-    assert bar(kronecker2, "--max-dim", "0") == ("path_algebra_acyclic,oracle,erelative", {"bar_h0"})
+    assert bar(kronecker2) == ("path_algebra_acyclic,oracle,erelative", {"bar_h0"})
+    assert bar(FIXTURE_DIR / "crown.poset") == ("oracle,erelative,simplicial", {"bar_h0"})
     assert main(["oracle", "--json", str(a5)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["intermediates"]["dim_algebra"] == 15
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--max-dim", "15", str(a5)])
+    assert exc.value.code == 2  # argparse: unrecognized arguments
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --max-dim\n")
 
 
-def test_erelative_equals_the_brute_oracle_above_the_degree_2_guard():
+def test_erelative_and_bar_h0_equal_the_brute_oracle():
     """On the seeded acyclic and cyclic monomial instances and the truncated cycles with
-    12 < d <= 60, over Q, F_2, F_3 and F_5."""
+    d <= 60, over Q, F_2, F_3 and F_5: H^1 by the brute oracle and by the E-relative
+    complex, and H^0 three ways, as bar_h0, as dim_algebra - dim_inner and as
+    the presentation's center_dim."""
     presentations = [AlgebraPresentation(q, Z) for q, Z in random_monomial_instances(7, 300, max_dim=60)]
     rng = random.Random(11)
     presentations += [admissible_cycle_presentation(rng) for _ in range(100)]
     presentations += truncated_cycles()
     compared = 0
     for pres in presentations:
-        if 12 < len(pres.basis) <= 60:
+        if len(pres.basis) <= 60:
             for prime in (None, 2, 3, 5):
                 report = run("oracle", InputDocument("quiver-presentation", "seeded", pres), prime)
                 assert list(report.methods) == ["oracle", "erelative"] and report.agree, (pres, prime)
+                assert report.checks == {"bar_h0": pres.center_dim}, (pres, prime)
+                dims = report.intermediates
+                assert dims["dim_algebra"] - dims["dim_inner"] == pres.center_dim, (pres, prime)
                 compared += 1
     assert compared >= 600
 

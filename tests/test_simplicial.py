@@ -150,6 +150,7 @@ def test_gs_compare_fixed_posets():
         r = run_poset(p)
         assert r.methods == {"oracle": dim, "erelative": dim, "simplicial": dim}
         assert r.agree
+        assert r.checks == {"bar_h0": simplicial_h_dim(order_complex(p), 0)}
     assert incidence_algebra(diamond_printed()).dimension == 9
 
 
@@ -160,6 +161,7 @@ def test_gs_compare_random_posets():
         for prime in (None, 2, 3):
             r = run_poset(p, prime)
             assert set(r.methods) == {"oracle", "erelative", "simplicial"} and r.agree
+            assert r.checks == {"bar_h0": simplicial_h_dim(order_complex(p), 0, prime)}
 
 
 def test_narrow_hasse_matches_path_algebra_formula():

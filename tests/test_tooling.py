@@ -1,6 +1,7 @@
 """Guards on the repository's tooling: every function the benchmark traces still
 exists, the package imports nothing outside the standard library, its modules
-import one another without a cycle, and it defines nothing that nothing reaches."""
+import one another without a cycle, it defines nothing that nothing reaches,
+every error class is raised somewhere, and the CLI has a fixed set of options."""
 
 import ast
 import graphlib
@@ -117,3 +118,25 @@ def test_every_top_level_definition_is_reached():
                  if name not in kept and f"{module}.{name}" not in KEEP
                  and not any(n == name and (m, i) != (module, k) for m, i, n in reads)]
     assert unreached == []
+
+
+def test_every_error_class_is_raised_in_the_package():
+    """An error class whose last ``raise`` has gone is dead code, even while an
+    ``except`` or an import still names it."""
+    tree = ast.parse((ROOT / "src" / "quiverh1" / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"QuiverH1Error"}
+    raised = set()
+    for path in (ROOT / "src" / "quiverh1").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "ParseError" in classes  # the classes are found
+    assert classes - raised == set()
+
+
+def test_the_cli_has_a_fixed_set_of_options():
+    """Adding a flag is a deliberate edit of this test."""
+    options = {opt for action in quiverh1.cli._parser()._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--field", "--json", "--per-component"}
