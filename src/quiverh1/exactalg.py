@@ -260,25 +260,66 @@ def invariants_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
 def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     """Dimension of linear maps f with f(ab) = a.f(b) + f(a).b on all basis pairs.
 
-    Unknowns f[b][m] are indexed b * dim(x) + m, in basis-pair lexicographic
-    order, so intermediate matrices are reproducible.  The rows of each pair
-    are generated as ``rank`` reads them, so the system is never held whole.
+    Lemma: call (b_i, b_j) separated when some basis idempotents e, f (b.b = b)
+    have b_i.e = b_i, f.b_j = b_j and e.f = 0.  If f is Leibniz at (b_i, e), at
+    (f, b_j) and at (e, f), it is Leibniz at (b_i, b_j).  Proof: b_i b_j = b_i e f b_j
+    = 0.  Leibniz at (b_i, e) times b_j gives f(b_i).b_j = b_i.f(e).b_j, as
+    e b_j = e f b_j = 0; likewise b_i.f(b_j) = b_i.f(f).b_j.  Their sum is
+    b_i.(e.f(e).f + e.f(f).f).b_j, and e.f(e).f + e.f(f).f = e.f(e f).f = 0 is
+    Leibniz at (e, f) times e on the left and f on the right.  A pair with a
+    nonzero product is never separated, so (b_i, e) and (f, b_j) are kept, and so
+    is every pair of idempotents.  Precondition: the bimodule axioms, which
+    ``validate`` checks.  On path, monomial, truncated and incidence algebras a
+    pair is separated exactly when t(b_i) != s(b_j).  Separation is tested once per
+    pair of groups: the basis grouped by its right and by its left idempotents.
+
+    Unknowns f[b][m] are indexed b * dim(x) + m.  Rows stream into ``rank`` pair by
+    pair, except that the unknowns forced to zero, by a row with one entry +-1 or as
+    f[k][m] where a pair of product b_k has no action term on row m, come once each.
     """
     alg = x.algebra
     d, dx = alg.dimension, x.dim
+    idems = {b for b in range(d) if alg.table.get((b, b)) == b}
+    right_of: list[set[int]] = [set() for _ in range(d)]  # the idempotents e with b.e = b
+    left_of: list[set[int]] = [set() for _ in range(d)]  # the idempotents f with f.b = b
+    for (i, j), k in alg.table.items():
+        if j in idems and k == i:
+            right_of[i].add(j)
+        if i in idems and k == j:
+            left_of[j].add(i)
+    by_right: dict[frozenset, list[int]] = {}
+    by_left: dict[frozenset, list[int]] = {}
+    for b in range(d):
+        by_right.setdefault(frozenset(right_of[b]), []).append(b)
+        by_left.setdefault(frozenset(left_of[b]), []).append(b)
 
     def rows():
-        for i in range(d):
-            li = x.left[i]
-            for j in range(d):
-                rj = x.right[j]
-                k = alg.table.get((i, j))
-                by_row: dict[int, Row] = {} if k is None else {m: {k * dx + m: 1} for m in range(dx)}
-                for jj, m in li.items():
-                    _add(by_row, m, j * dx + jj, -1)
-                for jj, m in rj.items():
-                    _add(by_row, m, i * dx + jj, -1)
-                yield from (r for r in by_row.values() if r)
+        touched: dict[int, set[int]] = {}  # k -> the rows m touched by every pair of product b_k
+        forced: set[int] = set()
+        for es, group_i in by_right.items():
+            for fs, group_j in by_left.items():
+                lefts, rights = group_i, group_j
+                if any((e, f) not in alg.table for e in es for f in fs):  # separated
+                    lefts, rights = [i for i in lefts if i in idems], [j for j in rights if j in idems]
+                for i in lefts:
+                    for j in rights:
+                        by_row: dict[int, Row] = {}
+                        for jj, m in x.left[i].items():
+                            _add(by_row, m, j * dx + jj, -1)
+                        for jj, m in x.right[j].items():
+                            _add(by_row, m, i * dx + jj, -1)
+                        k = alg.table.get((i, j))
+                        if k is not None:
+                            for m in by_row:
+                                _add(by_row, m, k * dx + m, 1)
+                            touched[k] = by_row.keys() & touched.get(k, by_row.keys())
+                        for r in by_row.values():
+                            if len(r) == 1 and abs(next(iter(r.values()))) == 1:
+                                forced.update(r)
+                            elif r:
+                                yield r
+        forced.update(k * dx + m for k, ms in touched.items() for m in range(dx) if m not in ms)
+        yield from ({c: 1} for c in forced)
 
     return d * dx - rank(rows(), prime=prime)
 

@@ -228,6 +228,31 @@ def center_dim(algebra: StructureConstantAlgebra, prime: Optional[int] = None) -
     return invariants_dim(regular_bimodule(algebra), prime=prime)
 
 
+# --- the all-pairs derivation system that the separated-pair one replaced -------
+
+
+def reference_derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
+    """Dimension of the derivations into x, with the Leibniz rows of all d^2 basis pairs,
+    each pair's forced-zero rows included."""
+    alg = x.algebra
+    d, dx = alg.dimension, x.dim
+
+    def rows():
+        for i in range(d):
+            li = x.left[i]
+            for j in range(d):
+                rj = x.right[j]
+                k = alg.table.get((i, j))
+                by_row: dict[int, dict] = {} if k is None else {m: {k * dx + m: 1} for m in range(dx)}
+                for jj, m in li.items():
+                    _add(by_row, m, j * dx + jj, -1)
+                for jj, m in rj.items():
+                    _add(by_row, m, i * dx + jj, -1)
+                yield from (r for r in by_row.values() if r)
+
+    return d * dx - rank(rows(), prime=prime)
+
+
 # --- the all-pairs poset and component routes that the up-set ones replaced ----
 
 

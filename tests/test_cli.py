@@ -26,7 +26,7 @@ from quiverh1.cli import (
 from quiverh1.errors import ParseError
 from quiverh1.presentations import AlgebraPresentation
 
-from conftest import FIXTURE_DIR, fixture_text, random_monomial_instances
+from conftest import FIXTURE_DIR, fib_dag, fixture_text, random_monomial_instances
 from test_presentations import admissible_cycle_presentation, truncated_cycles
 
 
@@ -510,6 +510,16 @@ def test_erelative_and_bar_h0_equal_the_brute_oracle():
                 assert dims["dim_algebra"] - dims["dim_inner"] == pres.center_dim, (pres, prime)
                 compared += 1
     assert compared >= 600
+
+
+def test_the_brute_oracle_and_erelative_on_larger_fib_dags():
+    """The Fib-DAG path algebras with n = 8, 9 and 10 (d = 133, 221 and 364): the brute
+    oracle and the E-relative complex both give the acyclic path algebra's 2n - 4."""
+    for n, d in ((8, 133), (9, 221), (10, 364)):
+        pres = AlgebraPresentation(fib_dag(n))
+        report = run("oracle", InputDocument("quiver-presentation", f"fib{n}", pres), None)
+        assert report.methods == {"oracle": 2 * n - 4, "erelative": 2 * n - 4} and report.agree, n
+        assert report.intermediates["dim_algebra"] == d
 
 
 def test_per_component_prints_each_component(capsys):

@@ -36,9 +36,13 @@ from quiverh1.simplicial import Poset, incidence_algebra
 
 from conftest import (
     FIXTURE_DIR, a2, a3, branch, center_dim, cycle, fib_dag, fixture_text, kronecker, path_of, product_basis,
-    quotient_bimodule, random_connected_dag, random_minimal_ideal, reference_bar_dims, reference_bar_rows,
+    quotient_bimodule, random_connected_dag, random_minimal_ideal, random_monomial_instances, reference_bar_dims,
+    reference_bar_rows, reference_derivation_space_dim,
 )
-from test_presentations import _outcome, _seeded_algebra, random_cycle_instance
+from test_presentations import (
+    _outcome, _seeded_algebra, admissible_cycle_presentation, random_cycle_instance, truncated_cycles,
+)
+from test_simplicial import _random_poset
 
 
 def semisimple(n: int):
@@ -484,10 +488,13 @@ def test_bar_h1_of_fib_dags_equals_the_formula_and_the_opposite_algebras():
     assert alg.dimension == 364
 
 
-def test_the_brute_derivation_system_is_never_held_whole():
+def test_the_brute_derivation_system_is_never_held_whole(monkeypatch):
     """On the Fib-DAG path algebra with n = 7 (d = 79) the derivation system has 6241
-    unknowns and 58,543 rows, 55,057 of them with one entry.  The rows stream into rank,
-    which keeps only the longer ones, so the traced peak stays small."""
+    unknowns and 8285 rows, 5677 of them with one entry (all d^2 pairs gave 58,543 rows,
+    55,057 with one entry).  The rows stream into rank, which keeps only the longer
+    ones, so the traced peak stays small, and no column has two one-entry rows."""
+    from quiverh1 import exactalg
+
     n = 7
     x = regular_bimodule(build_algebra(AlgebraPresentation(fib_dag(n))))
     assert x.dim == 79
@@ -500,6 +507,78 @@ def test_the_brute_derivation_system_is_never_held_whole():
     assert dim == 88
     assert h1_oracle(x) == 2 * n - 4
     assert peak < 8 * 2**20, peak
+
+    real, one_entry = exactalg.rank, []
+
+    def counting_rank(rows, prime=None):
+        def each():
+            for row in rows:
+                if len(row) == 1:
+                    one_entry.extend(row)
+                yield row
+        return real(each(), prime=prime)
+
+    monkeypatch.setattr(exactalg, "rank", counting_rank)
+    assert derivation_space_dim(x) == 88
+    assert len(one_entry) == len(set(one_entry)) == 5677
+
+
+def _derivation_bimodules():
+    """As regular bimodules: the 100 seeded acyclic monomial instances with d <= 40
+    (seed 7) and the incidence algebras of 15 seeded posets, each with its opposite
+    algebra; 100 admissible cyclic draws under ``random.Random(11)``; the truncated
+    cycles; k[x]/(x^m) for m = 2..6, with one idempotent, so no pair is separated; and
+    k^n for n = 1..4.  Then kQ/I over kQ, where X is not A, for the pairs of
+    ``_path_bases``."""
+    algs = [build_algebra(AlgebraPresentation(q, Z)) for q, Z in random_monomial_instances(7, 100, max_dim=40)]
+    rng = random.Random(35)
+    algs += [incidence_algebra(_random_poset(rng, rng.randint(1, 6))) for _ in range(15)]
+    algs += [alg.opposite().check() for alg in algs]
+    rng = random.Random(11)
+    algs += [build_algebra(admissible_cycle_presentation(rng)) for _ in range(100)]
+    algs += [build_algebra(pres) for pres in truncated_cycles()]
+    algs += [truncated_polynomials(m) for m in range(2, 7)] + [semisimple(n) for n in range(1, 5)]
+    yield from (regular_bimodule(alg) for alg in algs)
+    for kq, quot in _path_bases():
+        yield quotient_bimodule(kq, quot)
+
+
+def test_the_separated_pair_system_equals_the_all_pairs_one():
+    """Over Q, F_2, F_3 and F_5."""
+    compared = 0
+    for rep in _derivation_bimodules():
+        for prime in (None, 2, 3, 5):
+            assert derivation_space_dim(rep, prime) == reference_derivation_space_dim(rep, prime), (
+                rep.algebra.basis, prime)
+            compared += 1
+    assert compared == 4 * 423
+
+
+@settings(max_examples=100)
+@given(
+    family=st.sampled_from(["monomial", "cyclic", "truncated", "incidence", "polynomial", "semisimple", "quotient"]),
+    seed=st.integers(0, 2**32 - 1),
+    opposite=st.booleans(),
+    prime=st.sampled_from([None, 2, 3, 5]),
+)
+def test_the_separated_pair_system_equals_the_all_pairs_one_on_seeded_bimodules(family, seed, opposite, prime):
+    """The generators above, drawn from a seed; regular bimodules may be taken over A^op."""
+    rng = random.Random(seed)
+    if family == "quotient":
+        q = random_connected_dag(rng, max_vertices=4, max_arrows=5)
+        kq = build_algebra(AlgebraPresentation(q))
+        rep = quotient_bimodule(kq, build_algebra(AlgebraPresentation(q, random_minimal_ideal(rng, q))))
+    else:
+        if family == "cyclic":
+            alg = build_algebra(admissible_cycle_presentation(rng))
+        elif family == "polynomial":
+            alg = truncated_polynomials(rng.randint(2, 6))
+        elif family == "semisimple":
+            alg = semisimple(rng.randint(1, 4))
+        else:
+            alg = _seeded_algebra(family, seed)
+        rep = regular_bimodule(alg.opposite().check() if opposite else alg)
+    assert derivation_space_dim(rep, prime) == reference_derivation_space_dim(rep, prime)
 
 
 # --- index-map actions against the column operators they replaced -------------
