@@ -23,6 +23,7 @@ eliminates, so a caller may generate a system row by row, as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -70,10 +71,12 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
     The rows are read once, so any iterable will do, and are left unchanged.
     Unit rows are set aside first: a row with one nonzero entry (mod prime)
     puts the unit vector of its column in the row space, so its column joins
-    the set ``unit`` and is dropped from every other row, which is copied
-    once; a row that dropping leaves with one entry adds its column in turn,
-    until no column is added.  The rank is len(unit) plus the rank of what
-    is left.
+    the set ``unit``.  Every other row is copied once, as it is read, without
+    its zero entries (mod prime), so a streamed row is never held twice.
+    Once all are read the unit columns are deleted from the copies in place;
+    a copy left with one entry adds its column in turn, deleted from the
+    other copies, until no column is added.  The rank is len(unit) plus the
+    rank of what is left.
 
     That rest is eliminated with pivot rows keyed by their leading (minimum)
     column, so reducing a new row only ever introduces larger columns and
@@ -86,24 +89,25 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
     is one multiply-subtract; prime must be prime.
     """
     unit: set = set()  # columns whose unit vector is in the row space
-    longer: list[Row] = []
+    rest: list[Row] = []  # a copy of each longer row, without its zero entries
     for row in rows:
         if len(row) == 1:
             for c, v in row.items():
                 if v % prime if prime else v:
                     unit.add(c)
         elif row:
-            longer.append(row)
-    if prime:
-        rest = [{c: v % prime for c, v in row.items() if v % prime and c not in unit} for row in longer]
-    else:
-        rest = [{c: v for c, v in row.items() if v and c not in unit} for row in longer]
-    while new := {c for row in rest if len(row) == 1 for c in row}:
-        unit |= new
-        rest = [row for row in rest if len(row) > 1]
+            rest.append({c: v % prime for c, v in row.items() if v % prime} if prime
+                        else {c: v for c, v in row.items() if v})
+    new = unit
+    while True:
         for row in rest:
             for c in new.intersection(row):
                 del row[c]
+        new = {c for row in rest if len(row) == 1 for c in row}
+        if not new:
+            break
+        unit |= new
+        rest = [row for row in rest if len(row) > 1]
     pivots: dict = {}  # leading col -> (leading entry, ((col, entry), ...))
     for row in rest:
         while row:
@@ -218,6 +222,28 @@ class BimoduleRep:
             raise AssertionError("unit does not act as identity")
         return self
 
+    @cached_property
+    def _bar_frame(self) -> tuple[dict, dict, dict, dict]:
+        """What every degree of the E-relative complex reads, found once per bimodule:
+        the target vertex of each basis element, the x_m in each slice e_s X e_t, the
+        position of each x_m in its slice and the non-idempotent basis elements starting
+        at each vertex.  Endpoints of the basis are read off the table (e_s b = b = b e_t),
+        and the slice of x_m off the idempotents' actions.  Raises NotApplicable when a
+        product of two non-idempotent basis elements is an idempotent."""
+        alg, vertex = self.algebra, {e: v for v, e in self.algebra.vertex_idempotents.items()}
+        src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
+        tgt = {i: vertex[j] for (i, j), k in alg.table.items() if j in vertex and k == i}
+        for (i, j), k in alg.table.items():
+            if k in vertex and i not in vertex and j not in vertex:
+                raise NotApplicable(f"the product of {alg.basis[i]} and {alg.basis[j]} is an idempotent")
+        slices = {(s, t): sorted(self.left[es].keys() & self.right[et].keys())  # the x_m in e_s X e_t
+                  for es, s in vertex.items() for et, t in vertex.items()}
+        pos = {m: p for group in slices.values() for p, m in enumerate(group)}
+        starting: dict[VertexId, list[int]] = {}
+        for b in sorted(src.keys() - vertex.keys()):
+            starting.setdefault(src[b], []).append(b)
+        return tgt, slices, pos, starting
+
 
 def regular_bimodule(algebra: StructureConstantAlgebra) -> BimoduleRep:
     """The algebra as a bimodule over itself."""
@@ -275,7 +301,9 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
 
     Unknowns f[b][m] are indexed b * dim(x) + m.  Rows stream into ``rank`` pair by
     pair, except that the unknowns forced to zero, by a row with one entry +-1 or as
-    f[k][m] where a pair of product b_k has no action term on row m, come once each.
+    f[k][m] where a pair of product b_k has no action term on row m, come once each:
+    the first as it is found, remembered to skip repeats, and the second at the end,
+    not gathered into a set beside the one ``rank`` keeps.
     """
     alg = x.algebra
     d, dx = alg.dimension, x.dim
@@ -315,11 +343,13 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
                             touched[k] = by_row.keys() & touched.get(k, by_row.keys())
                         for r in by_row.values():
                             if len(r) == 1 and abs(next(iter(r.values()))) == 1:
-                                forced.update(r)
+                                if not forced.issuperset(r):
+                                    forced.update(r)
+                                    yield r
                             elif r:
                                 yield r
-        forced.update(k * dx + m for k, ms in touched.items() for m in range(dx) if m not in ms)
-        yield from ({c: 1} for c in forced)
+        yield from ({c: 1} for k, ms in touched.items() for m in range(dx) if m not in ms
+                    if (c := k * dx + m) not in forced)
 
     return d * dx - rank(rows(), prime=prime)
 
@@ -346,21 +376,11 @@ def _bar_coboundary_rows(x: BimoduleRep, n: int) -> tuple[int, dict[int, Row]]:
     row is one component of the value on a chain a_1 ... a_{n+1}: a_1.f(a_2, ...) +
     sum (-1)^i f(..., a_i a_{i+1}, ...) + (-1)^(n+1) f(..., a_n).a_{n+1}, where a term
     whose product is zero is dropped.  The rows come in the order of the chains of
-    C^{n+1}, so a running offset gives each its index.  Endpoints of the basis are read
-    off the table (e_s b = b = b e_t), and the slice of x_m off the idempotents' actions.
+    C^{n+1}, so a running offset gives each its index.  What the degrees share is the
+    bimodule's ``_bar_frame``, found once.
     """
-    alg, vertex = x.algebra, {e: v for v, e in x.algebra.vertex_idempotents.items()}
-    src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
-    tgt = {i: vertex[j] for (i, j), k in alg.table.items() if j in vertex and k == i}
-    for (i, j), k in alg.table.items():
-        if k in vertex and i not in vertex and j not in vertex:
-            raise NotApplicable(f"the product of {alg.basis[i]} and {alg.basis[j]} is an idempotent")
-    slices = {(s, t): sorted(x.left[es].keys() & x.right[et].keys())  # the x_m in e_s X e_t
-              for es, s in vertex.items() for et, t in vertex.items()}
-    pos = {m: p for group in slices.values() for p, m in enumerate(group)}
-    starting: dict[VertexId, list[int]] = {}
-    for b in sorted(src.keys() - vertex.keys()):
-        starting.setdefault(src[b], []).append(b)
+    alg = x.algebra
+    tgt, slices, pos, starting = x._bar_frame
     chains = [(v, (), v) for v in alg.vertex_idempotents]
     for _ in range(n):
         chains = [(s, c + (b,), tgt[b]) for s, c, t in chains for b in starting.get(t, ())]

@@ -21,6 +21,8 @@ from typing import Mapping, Optional
 from .errors import NotApplicable, FormulaUnavailable
 from .presentations import (
     AlgebraPresentation,
+    MonomialIdeal,
+    _avoiding_paths,
     _generator_spans,
     is_pregenerated_monomial,
     truncated_is_pregenerated,
@@ -33,7 +35,8 @@ from .quiver import (
     VertexId,
     arrow_path,
     connected_components,
-    path_counts,
+    reaching,
+    validate,
 )
 
 
@@ -55,28 +58,49 @@ class H1Report:
     intermediates: dict = field(default_factory=dict)
 
 
+def _parallel_basis_paths(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], list[Path]]:
+    """The basis paths parallel to an arrow, keyed by their endpoints, each group sorted as
+    in the basis.  One search per arrow source x lists the paths from x that avoid Z, into
+    the vertices that reach a target of an arrow leaving x only; nothing else is listed."""
+    parallel: dict[tuple[VertexId, VertexId], list[Path]] = {}
+    for x, arrows in quiver.successors.items():
+        targets = {a.target for a in arrows}
+        for p in _avoiding_paths(quiver, Z, [Path(x)], reaching(quiver, targets)):
+            if p.target in targets:
+                parallel.setdefault((x, p.target), []).append(p)
+    for group in parallel.values():
+        group.sort(key=Path.sort_key)
+    return parallel
+
+
 def effective_pairs(presentation: AlgebraPresentation) -> CoupleClassification:
     """Classify the couples (arrow a, basis path e parallel to a) of an acyclic monomial
-    presentation, in arrow order and then basis order.  A couple is glued when e begins or
-    ends with a, or a is a loop at the trivial path e.  On an acyclic quiver the glued
-    couples are exactly the diagonal (a, a): a parallel path a*w or w*a with w nontrivial
-    would make w a cycle, and a trivial path is parallel to a loop only.  Any other couple
-    is effective when replacing one occurrence of a inside some generator by e gives a path
-    that contains no generator; glued couples count as non-effective and come first."""
-    if presentation.kind != "monomial" or not presentation.quiver.acyclic:
+    presentation, in arrow order and then basis order.  The paths e come from
+    ``_parallel_basis_paths``, so the whole basis is never listed.  A couple is glued when
+    e begins or ends with a, or a is a loop at the trivial path e.  On an acyclic quiver the
+    glued couples are exactly the diagonal (a, a): a parallel path a*w or w*a with w
+    nontrivial would make w a cycle, and a trivial path is parallel to a loop only.  Any
+    other couple is effective when replacing one occurrence of a inside some generator by e
+    gives a path that contains no generator; the occurrences are indexed by arrow once.
+    Glued couples count as non-effective and come first."""
+    q, Z = presentation.quiver, presentation.scheme
+    if presentation.kind != "monomial" or not q.acyclic:
         raise NotApplicable("effective couples need a monomial ideal on an acyclic quiver")
-    Z, basis = presentation.scheme, presentation.basis
+    parallel = _parallel_basis_paths(validate(q), Z)
+    occurrences: dict[str, list[tuple[tuple[str, ...], int]]] = {}  # arrow name -> (generator, position)
+    for z in Z.names:
+        for k, x in enumerate(z):
+            occurrences.setdefault(x, []).append((z, k))
     pairs, glued, effective, non_effective = [], [], [], []
-    for a in presentation.quiver.arrows:
-        for i in basis.between.get((a.source, a.target), ()):
-            e = basis[i]
-            pair = ParallelPair(arrow_path(a), e)
+    for a in q.arrows:
+        left = arrow_path(a)
+        for e in parallel.get((a.source, a.target), ()):
+            pair = ParallelPair(left, e)
             pairs.append(pair)
             names = e.arrow_names()
             if names == (a.name,):
                 glued.append(pair)
-            elif any(not _generator_spans(z[:k] + names + z[k + 1:], Z)
-                     for z in Z.names for k, x in enumerate(z) if x == a.name):
+            elif any(not _generator_spans(z[:k] + names + z[k + 1:], Z) for z, k in occurrences.get(a.name, ())):
                 effective.append(pair)
             else:
                 non_effective.append(pair)
@@ -91,10 +115,25 @@ def _per_component(quiver: Quiver, per_arrow: Mapping[str, int]) -> list[tuple[V
 
 
 def _parallel_path_counts(quiver: Quiver, max_length: Optional[int] = None) -> dict[str, int]:
-    """For each arrow, the number of paths of length <= max_length parallel to it, read off
-    the path counts; no path is listed."""
-    counts = path_counts(quiver, max_length)
-    return {a.name: sum(layer.get((a.source, a.target), 0) for layer in counts) for a in quiver.arrows}
+    """For each arrow, the number of paths of length <= max_length parallel to it.  From each
+    arrow source x the paths are counted layer by layer, by their targets, over the vertices
+    that reach a target of an arrow leaving x; no path is listed.  The quiver is acyclic or
+    max_length is given."""
+    counts: dict[tuple[VertexId, VertexId], int] = {}
+    for x, arrows in quiver.successors.items():
+        if not arrows:
+            continue
+        inside = reaching(quiver, {a.target for a in arrows})
+        layer, length = {x: 1}, 0
+        while layer and (max_length is None or length <= max_length):
+            nxt: dict[VertexId, int] = {}
+            for v, n in layer.items():
+                counts[(x, v)] = counts.get((x, v), 0) + n
+                for b in quiver.successors[v]:
+                    if b.target in inside:
+                        nxt[b.target] = nxt.get(b.target, 0) + n
+            layer, length = nxt, length + 1
+    return {a.name: counts.get((a.source, a.target), 0) for a in quiver.arrows}
 
 
 def h1_path_algebra_acyclic(presentation: AlgebraPresentation) -> H1Report:

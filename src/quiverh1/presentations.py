@@ -31,7 +31,10 @@ class MonomialIdeal:
     generators: tuple[Path, ...]
 
     def __init__(self, generators: Iterable[Path]):
-        gens = sorted(set(generators), key=Path.sort_key)
+        unique: dict = {}  # Path.sort_key() -> the first generator with it; no Path is hashed
+        for z in generators:
+            unique.setdefault(z.sort_key(), z)
+        gens = [unique[key] for key in sorted(unique)]
         object.__setattr__(self, "generators", tuple(gens))
         # arrow-name tuples of the generators, and their lengths, for matching
         object.__setattr__(self, "names", frozenset(z.arrow_names() for z in gens))
@@ -142,6 +145,31 @@ def _generator_spans(names: tuple[str, ...], Z: MonomialIdeal) -> list[tuple[int
 _State = tuple[VertexId, tuple[str, ...]]  # a path's target and last (longest generator - 1) arrow names
 
 
+def _avoids(names: tuple[str, ...], Z: MonomialIdeal) -> bool:
+    """True when no generator is a suffix of the arrow-name sequence."""
+    for n in Z.lengths:
+        if n <= len(names) and names[-n:] in Z.names:
+            return False
+    return True
+
+
+def _avoiding_paths(quiver: Quiver, Z: MonomialIdeal, starts: Iterable[Path],
+                    within: Optional[set[VertexId]] = None) -> list[Path]:
+    """The paths that extend one of the starts, themselves included, while no generator is
+    a suffix of them and, when ``within`` is given, only into its vertices; unsorted.  From
+    a start that avoids Z these are the avoiding paths, as every prefix of one avoids Z.
+    There must be finitely many."""
+    result: list[Path] = []
+    stack = [(p, p.target) for p in starts]
+    while stack:
+        p, v = stack.pop()
+        result.append(p)
+        for a in quiver.successors[v]:
+            if (within is None or a.target in within) and _avoids(p._names + (a.name,), Z):
+                stack.append((p._then(a), a.target))
+    return result
+
+
 def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     """All paths (including trivial ones) avoiding every generator, sorted; raises
     InfiniteBasis when there are infinitely many.
@@ -150,29 +178,22 @@ def basis_B(quiver: Quiver, Z: MonomialIdeal) -> list[Path]:
     state: its target and its last (longest generator - 1) arrow names.  On a
     cyclic quiver ``reaches_cycle`` over the states first decides finiteness:
     a stretch that returns to a state can be repeated for ever.  Only then are
-    the paths listed, by extending a path while no generator is a suffix of it;
-    every prefix of an avoiding path avoids Z, so all are reached.
+    the paths listed by ``_avoiding_paths`` from the trivial ones.  The acyclic
+    monomial formula reads only the paths parallel to an arrow, and searches
+    for those alone.
     """
     keep = max(Z.max_generator_length - 1, 0)
-
-    def avoids(seq: tuple[str, ...]) -> bool:
-        return not any(seq[-n:] in Z.names for n in Z.lengths if n <= len(seq))
 
     def step(state: _State) -> Iterable[_State]:
         v, names = state
         for a in quiver.successors[v]:
             seq = names + (a.name,)
-            if avoids(seq):
+            if _avoids(seq, Z):
                 yield a.target, seq[max(len(seq) - keep, 0):]
 
     if not quiver.acyclic and reaches_cycle([(v, ()) for v in quiver.vertices], step):
         raise InfiniteBasis("infinite basis: quiver is cyclic and the ideal is not admissible")
-    result: list[Path] = []
-    stack = [Path(v) for v in quiver.vertices]
-    while stack:
-        p = stack.pop()
-        result.append(p)
-        stack.extend(p._then(a) for a in quiver.successors[p.target] if avoids(p.arrow_names() + (a.name,)))
+    result = _avoiding_paths(quiver, Z, [Path(v) for v in quiver.vertices])
     result.sort(key=Path.sort_key)
     return result
 

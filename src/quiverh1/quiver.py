@@ -27,7 +27,7 @@ class Arrow:
 @dataclass(frozen=True)
 class Quiver:
     """Vertices and arrows in insertion order; iteration order is deterministic.
-    The arrows leaving each vertex, and acyclicity, are computed once per quiver."""
+    The arrows leaving and entering each vertex, and acyclicity, are computed once per quiver."""
 
     vertices: tuple[VertexId, ...]
     arrows: tuple[Arrow, ...]
@@ -43,6 +43,14 @@ class Quiver:
         for a in self.arrows:
             out.get(a.source, []).append(a)
         return {v: tuple(arrows) for v, arrows in out.items()}
+
+    @cached_property
+    def predecessors(self) -> dict[VertexId, tuple[Arrow, ...]]:
+        """The arrows entering each vertex, in arrow order (an unknown target has none)."""
+        into: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            into.get(a.target, []).append(a)
+        return {v: tuple(arrows) for v, arrows in into.items()}
 
     @cached_property
     def acyclic(self) -> bool:
@@ -178,6 +186,19 @@ def reaches_cycle(starts: Iterable[State], step: Callable[[State], Iterable[Stat
                 stack.pop()
                 done.add(branch.popitem()[0])
     return False
+
+
+def reaching(quiver: Quiver, targets: Iterable[VertexId]) -> set[VertexId]:
+    """The vertices from which a path, trivial ones included, runs to one of the targets.
+    A search for the paths from x parallel to the arrows leaving x need enter no other vertex."""
+    found = set(targets)
+    stack = list(found)
+    while stack:
+        for a in quiver.predecessors[stack.pop()]:
+            if a.source not in found:
+                found.add(a.source)
+                stack.append(a.source)
+    return found
 
 
 def connected_components(quiver: Quiver) -> list[Quiver]:

@@ -430,7 +430,8 @@ def test_a_presentation_is_analysed_once(monkeypatch, capsys):
 
 
 def test_check_searches_an_acyclic_monomial_basis_once(monkeypatch, capsys):
-    """The monomial row reads the presentation's basis, which the oracle's algebra reuses."""
+    """The monomial row searches only the basis paths parallel to an arrow, so the one
+    listing of the basis is the oracle's, for its algebra."""
     from quiverh1 import formulas, presentations
 
     calls = []

@@ -9,6 +9,8 @@ from quiverh1.errors import FormulaUnavailable, InfiniteBasis, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, regular_bimodule
 from quiverh1.formulas import (
     FORMULAS,
+    _parallel_basis_paths,
+    _parallel_path_counts,
     CoupleClassification,
     H1Report,
     classify_and_compute,
@@ -30,7 +32,7 @@ from quiverh1.presentations import (
     truncation_generators,
 )
 from quiverh1.quiver import (
-    Arrow, Path, Quiver, arrow_path, connected_components, enumerate_paths, is_acyclic,
+    Arrow, Path, PathBasis, Quiver, arrow_path, connected_components, enumerate_paths, is_acyclic, path_counts,
 )
 
 from conftest import (
@@ -459,6 +461,61 @@ def test_effective_pairs_match_the_pairing_reference(monomial_instances):
         assert [(p.left, p.right) for p in cls.glued] == [(arrow_path(a), arrow_path(a)) for a in q.arrows]
         n_effective += len(cls.effective)
     assert n_effective > 0
+
+
+def _assert_parallel_search_reads_the_basis(q, Z):
+    """For each arrow, the pruned search finds the basis paths parallel to it in basis order,
+    and keys nothing that no arrow is parallel to."""
+    B = PathBasis(basis_B(q, Z))
+    found = _parallel_basis_paths(q, Z)
+    for a in q.arrows:
+        assert found.get((a.source, a.target), []) == [B[i] for i in B.between.get((a.source, a.target), ())]
+    assert set(found) <= {(a.source, a.target) for a in q.arrows}
+
+
+def test_the_parallel_search_finds_the_basis_paths_parallel_to_each_arrow(monomial_instances):
+    for q, Z in monomial_instances:
+        _assert_parallel_search_reads_the_basis(q, Z)
+    # a*b*c is parallel to d through z, which no arrow leaving x enters
+    q = Quiver(("x", "y", "z", "w"), (Arrow("a", "x", "y"), Arrow("b", "y", "z"), Arrow("c", "z", "w"),
+                                      Arrow("d", "x", "w")))
+    _assert_parallel_search_reads_the_basis(q, MonomialIdeal([]))
+    _assert_parallel_search_reads_the_basis(q, MonomialIdeal([path_of(q, "a", "b")]))
+    q = fib_dag(9)
+    _assert_parallel_search_reads_the_basis(q, MonomialIdeal([]))
+    _assert_parallel_search_reads_the_basis(q, MonomialIdeal(path_of(q, f"s{i}", f"s{i + 1}") for i in range(7)))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_parallel_search_and_counts_match_the_whole_basis_on_random_dags(seed):
+    """On larger random DAGs the pruned search equals the basis read by endpoints, and
+    the pruned path counts equal the all-pairs counts, unbounded and truncated."""
+    rng = random.Random(seed)
+    q = random_connected_dag(rng, max_vertices=8, max_arrows=13)
+    _assert_parallel_search_reads_the_basis(q, random_minimal_ideal(rng, q))
+    for bound in (None, 0, 1, 2, 3):
+        counts = path_counts(q, bound)
+        assert _parallel_path_counts(q, bound) == {
+            a.name: sum(layer.get((a.source, a.target), 0) for layer in counts) for a in q.arrows}
+
+
+def test_the_monomial_row_lists_no_basis(monkeypatch):
+    """formula on Fib-DAG n = 16 with the relations s_i s_(i+1) (d = 775) reads only the
+    basis paths parallel to an arrow, so it never runs basis_B and caches no basis."""
+    from quiverh1 import formulas, presentations
+
+    q = fib_dag(16)
+    Z = MonomialIdeal(path_of(q, f"s{i}", f"s{i + 1}") for i in range(14))
+    assert len(basis_B(q, Z)) == 775
+    calls = []
+    real = presentations.basis_B
+    for module in (presentations, formulas):  # every binding, should a module import it
+        monkeypatch.setattr(module, "basis_B", lambda *a: calls.append(a) or real(*a), raising=False)
+    pres = AlgebraPresentation(q, Z)
+    report = classify_and_compute(pres)
+    assert (report.method, report.dim_h1) == ("monomial_acyclic", 14)
+    assert calls == [] and "basis" not in vars(pres)
 
 
 def _seeded_presentation(kind, seed, m, prefix=""):

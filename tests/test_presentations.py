@@ -43,6 +43,15 @@ def test_check_minimal_ok():
     assert check_minimal(q, []).generators == ()
 
 
+def test_an_ideal_dedupes_and_sorts_its_generators_without_hashing_a_path(monkeypatch):
+    q = line4()
+    ab, bc, abc = path_of(q, "a", "b"), path_of(q, "b", "c"), path_of(q, "a", "b", "c")
+    monkeypatch.setattr(Path, "__hash__", lambda self: pytest.fail("a Path was hashed"))
+    ideal = MonomialIdeal([abc, bc, path_of(q, "a", "b"), ab, bc])
+    assert ideal.generators == (ab, bc, abc)
+    assert ideal.names == frozenset({("a", "b"), ("b", "c"), ("a", "b", "c")}) and ideal.lengths == (2, 3)
+
+
 def test_check_minimal_rejects_short_generator():
     q = a3()
     with pytest.raises(InvalidIdeal, match="length < 2"):

@@ -82,6 +82,15 @@ def test_the_package_modules_import_one_another_without_a_cycle():
     assert graph["presentations"] == {"errors", "quiver"}
 
 
+def test_only_the_pregenerated_row_reads_the_basis():
+    """The acyclic rows count or search the paths they need; listing the whole basis is
+    left to the pre-generated row, which reads every slice of it, and to the oracle."""
+    tree = ast.parse((ROOT / "src" / "quiverh1" / "formulas.py").read_text())
+    readers = {getattr(node, "name", type(node).__name__) for node in tree.body for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr == "basis"}
+    assert readers == {"h1_pregenerated"}
+
+
 def test_the_order_complex_shares_no_oracle_code():
     """simplicial takes only the row type and the H^n count from exactalg, so the
     simplicial H^1 stays a check independent of both Hochschild oracles."""
