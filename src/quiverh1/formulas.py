@@ -3,7 +3,7 @@
 Covers: path algebras of acyclic quivers, monomial algebras with acyclic quiver (via the
 effective-couple count), truncated algebras, pre-generated ideals, and the tensor-coefficients
 formula for bimodules over a path algebra.  ``FORMULAS`` holds the dispatch rows in order; each
-takes a presentation and raises NotApplicable, with its reason, when its precondition fails.
+validates the quiver first and raises NotApplicable, with its reason, when its precondition fails.
 Every row counts paths, dim Z(A) included, so none builds an algebra or ranks a system.
 
 The classical upper bound printed for the monomial case is implemented as a
@@ -36,7 +36,6 @@ from .quiver import (
     arrow_path,
     connected_components,
     reaching,
-    validate,
 )
 
 
@@ -84,9 +83,9 @@ def effective_pairs(presentation: AlgebraPresentation) -> CoupleClassification:
     gives a path that contains no generator; the occurrences are indexed by arrow once.
     Glued couples count as non-effective and come first."""
     q, Z = presentation.quiver, presentation.scheme
-    if presentation.kind != "monomial" or not q.acyclic:
+    if not q.acyclic or presentation.kind != "monomial":
         raise NotApplicable("effective couples need a monomial ideal on an acyclic quiver")
-    parallel = _parallel_basis_paths(validate(q), Z)
+    parallel = _parallel_basis_paths(q, Z)
     occurrences: dict[str, list[tuple[tuple[str, ...], int]]] = {}  # arrow name -> (generator, position)
     for z in Z.names:
         for k, x in enumerate(z):
@@ -139,7 +138,7 @@ def _parallel_path_counts(quiver: Quiver, max_length: Optional[int] = None) -> d
 def h1_path_algebra_acyclic(presentation: AlgebraPresentation) -> H1Report:
     """1 - |Q0| + |path/arrow parallel couples| per component."""
     q = presentation.quiver
-    if presentation.kind != "none" or not q.acyclic:
+    if not q.acyclic or presentation.kind != "none":
         raise NotApplicable("path-algebra formula requires no relations and an acyclic quiver")
     couples = _parallel_path_counts(q)
     per = _per_component(q, couples)
@@ -157,7 +156,7 @@ def h1_path_algebra_acyclic(presentation: AlgebraPresentation) -> H1Report:
 def h1_truncated_acyclic(presentation: AlgebraPresentation) -> H1Report:
     """1 - |Q0| + |arrow/basis couples| per component, with basis = paths of length < m."""
     q = presentation.quiver
-    if presentation.kind != "truncated" or not q.acyclic:
+    if not q.acyclic or presentation.kind != "truncated":
         raise NotApplicable("truncated formula requires a truncation ideal on an acyclic quiver")
     couples = _parallel_path_counts(q, max_length=presentation.scheme.m - 1)
     per = _per_component(q, couples)
@@ -172,7 +171,7 @@ def h1_monomial_acyclic(presentation: AlgebraPresentation) -> H1Report:
     on the whole quiver: a couple, and every generator containing its arrow, lie in that
     arrow's component, so each component's count is the one it has on its own."""
     q = presentation.quiver
-    if presentation.kind != "monomial" or not q.acyclic:
+    if not q.acyclic or presentation.kind != "monomial":
         raise NotApplicable("monomial formula requires a monomial ideal on an acyclic quiver")
     cls = effective_pairs(presentation)
     per = _per_component(q, Counter(pair.left.arrow_names()[0] for pair in cls.non_effective))

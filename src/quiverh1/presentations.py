@@ -114,9 +114,8 @@ class AlgebraPresentation:
 
     @cached_property
     def algebra(self) -> StructureConstantAlgebra:
-        """Structure constants on the basis, verified by ``check()``, which visits only the
-        triples where a product can be nonzero."""
-        return _path_basis_algebra(self.basis).check()
+        """Structure constants on the basis, unverified: ``regular_bimodule`` checks them."""
+        return _path_basis_algebra(self.basis)
 
 
 def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
@@ -272,7 +271,7 @@ class StructureConstantAlgebra:
         op_table = {(j, i): k for (i, j), k in self.table.items()}
         return StructureConstantAlgebra(self.basis, op_table, dict(self.unit), dict(self.vertex_idempotents))
 
-    def check(self) -> "StructureConstantAlgebra":
+    def check(self) -> None:
         """Assert associativity on all basis triples and the unit/idempotent axioms.
 
         The rows of the table (rows[i][j] = k for b_i b_j = b_k) are the left regular
@@ -309,7 +308,6 @@ class StructureConstantAlgebra:
                 raise AssertionError(f"idempotents {v}, {idems[min(others)][0]} are not orthogonal")
         if total != self.unit:
             raise AssertionError("vertex idempotents do not sum to the unit")
-        return self
 
 
 def composite_failures(ops, table: dict) -> set[tuple[int, int, int]]:
@@ -345,5 +343,5 @@ def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:
 
 
 def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra:
-    """The presentation's algebra, built and verified by ``check()`` once per presentation."""
+    """The presentation's algebra, built once per presentation; ``regular_bimodule`` verifies it."""
     return presentation.algebra

@@ -26,8 +26,8 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Vertices and arrows in insertion order; iteration order is deterministic.
-    The arrows leaving and entering each vertex, and acyclicity, are computed once per quiver."""
+    """Vertices and arrows in insertion order; iteration order is deterministic.  The arrows leaving
+    and entering each vertex, and acyclicity, read after ``validate``, are computed once per quiver."""
 
     vertices: tuple[VertexId, ...]
     arrows: tuple[Arrow, ...]
@@ -54,6 +54,7 @@ class Quiver:
 
     @cached_property
     def acyclic(self) -> bool:
+        validate(self)
         return not reaches_cycle(self.vertices, lambda v: (a.target for a in self.successors[v]))
 
 

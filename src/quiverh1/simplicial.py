@@ -81,14 +81,14 @@ def _in_element_order(elements: tuple[str, ...], pairs) -> list[tuple[str, str]]
 
 def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
     """Basis of comparable pairs, matrix-unit product, unit = sum of diagonals; a pair (a, b)
-    is multiplied only with the pairs (b, c) that start at its end."""
+    is multiplied only with the pairs (b, c) that start at its end.  Not verified here."""
     pairs = p.comparable_pairs()
     index = {pair: i for i, pair in enumerate(pairs)}
     table = {(i, index[(b, c)]): index[(a, c)] for i, (a, b) in enumerate(pairs) for c in (b,) + p.above[b]}
     idem = {e: index[(e, e)] for e in p.elements}
     unit = {i: 1 for i in idem.values()}
     labels = tuple(f"e[{y},{x}]" for (y, x) in pairs)
-    return StructureConstantAlgebra(labels, table, unit, idem).check()
+    return StructureConstantAlgebra(labels, table, unit, idem)
 
 
 @dataclass(frozen=True)

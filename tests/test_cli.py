@@ -409,16 +409,25 @@ def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path):
                         "quiverh1.errors.InvalidPoset: transitivity violation: 'a' <= 'b' <= 'c'")}
 
 
-def test_a_presentation_is_analysed_once(monkeypatch, capsys):
-    """A pre-generated cyclic monomial document runs the avoidance search once; formula
-    builds no algebra, and check builds and verifies the oracle's one."""
-    from quiverh1 import presentations
-    from quiverh1.presentations import StructureConstantAlgebra, build_algebra
+def _record_verification(monkeypatch, calls: list, *extra) -> None:
+    """Record, by name, each call of check(), validate() and the extra (owner, name)s."""
+    from quiverh1.exactalg import BimoduleRep
+    from quiverh1.presentations import StructureConstantAlgebra
 
-    calls = []
-    for owner, name in ((presentations, "basis_B"), (StructureConstantAlgebra, "check")):
+    for owner, name in (*extra, (StructureConstantAlgebra, "check"), (BimoduleRep, "validate")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+
+
+def test_a_presentation_is_analysed_once(monkeypatch, capsys):
+    """A pre-generated cyclic monomial document runs the avoidance search once; formula
+    builds no algebra, and check builds the oracle's one, which regular_bimodule verifies
+    with one check() and no validate()."""
+    from quiverh1 import presentations
+    from quiverh1.presentations import build_algebra
+
+    calls = []
+    _record_verification(monkeypatch, calls, (presentations, "basis_B"))
     path = str(FIXTURE_DIR / "cycle3-monomial.quiver")
     for command, expected in (("formula", ["basis_B"]), ("check", ["basis_B", "check"])):
         calls.clear()
@@ -427,6 +436,19 @@ def test_a_presentation_is_analysed_once(monkeypatch, capsys):
     capsys.readouterr()
     pres = parse(fixture_text("cycle3-monomial.quiver")).body
     assert build_algebra(pres) is build_algebra(pres)
+
+
+def test_a_poset_algebra_is_verified_once(monkeypatch, capsys):
+    """check and poset on a poset document run check() once, in regular_bimodule, and
+    validate() never: incidence_algebra only builds."""
+    calls = []
+    _record_verification(monkeypatch, calls)
+    for name in ("crown.poset", "diamond-printed.poset"):
+        for command in ("check", "poset"):
+            calls.clear()
+            assert main([command, str(FIXTURE_DIR / name)]) == EXIT_OK
+            assert calls == ["check"]
+    capsys.readouterr()
 
 
 def test_check_searches_an_acyclic_monomial_basis_once(monkeypatch, capsys):

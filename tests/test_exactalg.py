@@ -272,7 +272,7 @@ def test_opposite_invariance():
         build_algebra(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")]))),
         build_algebra(AlgebraPresentation(cycle(3), TruncationIdeal(2))),
     ):
-        assert h1_oracle(regular_bimodule(alg)) == h1_oracle(regular_bimodule(alg.opposite().check()))
+        assert h1_oracle(regular_bimodule(alg)) == h1_oracle(regular_bimodule(alg.opposite()))
 
 
 def test_the_opposite_algebra_keeps_no_path_basis():
@@ -469,7 +469,7 @@ def test_bar_dims_of_truncated_polynomials_depend_on_the_characteristic(prime):
 
 def test_bar_complex_needs_the_radical_closed_under_products():
     """k[x]/(x^2 - 1) on the basis 1, x: x * x is the idempotent 1."""
-    alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {0: 1}, {"v": 0}).check()
+    alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {0: 1}, {"v": 0})
     with pytest.raises(NotApplicable, match="is an idempotent"):
         bar_cohomology_dims(regular_bimodule(alg), (0, 1))
 
@@ -483,7 +483,7 @@ def test_bar_h1_of_fib_dags_equals_the_formula_and_the_opposite_algebras():
         report = classify_and_compute(pres)
         assert (report.method, report.dim_h1) == ("path_algebra_acyclic", 2 * n - 4)
         alg = build_algebra(pres)
-        for side in (alg, alg.opposite().check()):
+        for side in (alg, alg.opposite()):
             assert bar_cohomology_dims(regular_bimodule(side), (0, 1))[1] == 2 * n - 4, (n, side is alg)
     assert alg.dimension == 364
 
@@ -533,7 +533,7 @@ def _derivation_bimodules():
     algs = [build_algebra(AlgebraPresentation(q, Z)) for q, Z in random_monomial_instances(7, 100, max_dim=40)]
     rng = random.Random(35)
     algs += [incidence_algebra(_random_poset(rng, rng.randint(1, 6))) for _ in range(15)]
-    algs += [alg.opposite().check() for alg in algs]
+    algs += [alg.opposite() for alg in algs]
     rng = random.Random(11)
     algs += [build_algebra(admissible_cycle_presentation(rng)) for _ in range(100)]
     algs += [build_algebra(pres) for pres in truncated_cycles()]
@@ -577,7 +577,7 @@ def test_the_separated_pair_system_equals_the_all_pairs_one_on_seeded_bimodules(
             alg = semisimple(rng.randint(1, 4))
         else:
             alg = _seeded_algebra(family, seed)
-        rep = regular_bimodule(alg.opposite().check() if opposite else alg)
+        rep = regular_bimodule(alg.opposite() if opposite else alg)
     assert derivation_space_dim(rep, prime) == reference_derivation_space_dim(rep, prime)
 
 
@@ -722,7 +722,8 @@ def test_validate_matches_the_pairwise_loop_on_thinned_actions(family, seed, kee
 def test_verification_scales_with_the_nonzero_products():
     """check() and validate() do work in proportion to the nonzero triples: k^20000 (the
     loops over every basis element and every vertex pair take about 4e8 steps there) and
-    the Fib-DAG path algebra with d = 596 are each verified in seconds."""
+    the Fib-DAG path algebra with d = 596 are each verified in seconds, by check() in
+    regular_bimodule and by validate() on the bimodule it returns."""
     d = 20000
     semisimple_big = StructureConstantAlgebra(tuple(f"e{i}" for i in range(d)), {(i, i): i for i in range(d)},
                                               {i: 1 for i in range(d)}, {f"v{i}": i for i in range(d)})
@@ -730,8 +731,7 @@ def test_verification_scales_with_the_nonzero_products():
     assert fib.dimension == 596
     for alg in (semisimple_big, fib):
         start = time.perf_counter()
-        alg.check()
-        rep = regular_bimodule(alg)
+        rep = regular_bimodule(alg).validate()
         assert rep.dim == alg.dimension
         assert time.perf_counter() - start < 20
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverh1.errors import FormulaUnavailable, InfiniteBasis, NotApplicable
+from quiverh1.errors import FormulaUnavailable, InfiniteBasis, InvalidQuiver, NotApplicable
 from quiverh1.exactalg import h1_oracle, invariants_dim, regular_bimodule
 from quiverh1.formulas import (
     FORMULAS,
@@ -260,6 +260,20 @@ def test_classify_and_compute_dispatch():
     assert classify_and_compute(AlgebraPresentation(branch(), TruncationIdeal(2))).method == "truncated_acyclic"
     with pytest.raises(InfiniteBasis, match="infinite dimensional: path algebra of a cyclic quiver"):
         classify_and_compute(AlgebraPresentation(cycle(3)))
+
+
+@pytest.mark.parametrize("arrows, message", [
+    ([Arrow("a", "x", "y"), Arrow("b", "y", "zz")], "unknown target 'zz'"),
+    ([Arrow("a", "x", "y"), Arrow("a", "y", "z")], "duplicate arrow name 'a'"),
+])
+def test_every_row_validates_the_quiver_before_it_reads_acyclicity(arrows, message):
+    """A library caller's invalid quiver raises InvalidQuiver from every row, whatever the
+    relations, and never KeyError from the acyclicity search or a number from a row."""
+    q = Quiver(["x", "y", "z"], arrows)
+    for scheme in (None, MonomialIdeal([Path("x", arrows)]), TruncationIdeal(2)):
+        for read in (*FORMULAS, effective_pairs, classify_and_compute):
+            with pytest.raises(InvalidQuiver, match=message):
+                read(AlgebraPresentation(q, scheme))
 
 
 def test_formula_reports_an_infinite_basis_before_the_pregenerated_test(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverh1.errors import InfiniteBasis, InvalidIdeal
+from quiverh1.exactalg import regular_bimodule
 from quiverh1.presentations import (
     AlgebraPresentation,
     MonomialIdeal,
@@ -289,6 +290,16 @@ def test_algebra_check_catches_bad_table():
     )
     with pytest.raises(AssertionError):
         bad.check()
+    assert _outcome(regular_bimodule, bad) == _outcome(StructureConstantAlgebra.check, bad)
+
+
+def test_the_oracle_refuses_two_vertices_on_one_idempotent():
+    """k with both of its vertices on its one basis element: the unit acts as 1, so
+    validate() accepts its regular bimodule, but the idempotents that the bar complex keys
+    its slices by are not orthogonal.  check(), which regular_bimodule runs, refuses it."""
+    alg = StructureConstantAlgebra(("1",), {(0, 0): 0}, {0: 1}, {"v": 0, "w": 0})
+    for verify in (StructureConstantAlgebra.check, regular_bimodule):
+        assert _outcome(verify, alg) == "idempotents v, w are not orthogonal"
 
 
 # --- the one-pass routes against the code they replaced ------------------------
@@ -370,6 +381,7 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, m
         table[absent[pick % len(absent)]] = target % d
     bad = StructureConstantAlgebra(alg.basis, table, alg.unit, alg.vertex_idempotents, alg.basis_paths)
     assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
+    assert _outcome(regular_bimodule, bad) == _outcome(reference_check, bad)
 
 
 @settings(max_examples=300)
@@ -385,7 +397,8 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects(family, seed, m
 def test_check_rejects_exactly_what_the_all_triples_loop_rejects_on_the_unit(family, seed, part, mutation, pick,
                                                                              target, coefficient):
     """The unit, idempotent and orthogonality axioms read off the rows fail where the
-    loops over every basis element and every pair of vertices fail, with the same message."""
+    loops over every basis element and every pair of vertices fail, with the same message,
+    and regular_bimodule, which runs check(), fails alike."""
     alg = _seeded_algebra(family, seed)
     d = alg.dimension
     unit, idems = dict(alg.unit), dict(alg.vertex_idempotents)
@@ -412,6 +425,7 @@ def test_check_rejects_exactly_what_the_all_triples_loop_rejects_on_the_unit(fam
             idems = dict.fromkeys(idems, idems[key])
     bad = StructureConstantAlgebra(alg.basis, alg.table, unit, idems, alg.basis_paths)
     assert _outcome(StructureConstantAlgebra.check, bad) == _outcome(reference_check, bad)
+    assert _outcome(regular_bimodule, bad) == _outcome(reference_check, bad)
 
 
 def _reference_bound(q, Z):

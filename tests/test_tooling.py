@@ -1,7 +1,8 @@
 """Guards on the repository's tooling: every function the benchmark traces still
 exists, the package imports nothing outside the standard library, its modules
-import one another without a cycle, it defines nothing that nothing reaches,
-every error class is raised somewhere, and the CLI has a fixed set of options."""
+import one another without a cycle, the oracle's entry point is the one place an
+algebra is verified, it defines nothing that nothing reaches, every error class
+is raised somewhere, and the CLI has a fixed set of options."""
 
 import ast
 import graphlib
@@ -89,6 +90,19 @@ def test_only_the_pregenerated_row_reads_the_basis():
     readers = {getattr(node, "name", type(node).__name__) for node in tree.body for n in ast.walk(node)
                if isinstance(n, ast.Attribute) and n.attr == "basis"}
     assert readers == {"h1_pregenerated"}
+
+
+def test_the_oracle_entry_point_is_the_one_verifier():
+    """The one ``.check()`` call in the package is in ``exactalg.regular_bimodule``, and no
+    ``.validate()`` attribute is called (``quiver.validate(q)`` is a name call): a builder
+    that verified again, or a second verifier of the regular bimodule, would fail here."""
+    calls = {"check": [], "validate": []}  # method -> the top-level definitions that call it
+    for path in sorted((ROOT / "src" / "quiverh1").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in calls:
+                    calls[n.func.attr].append(f"{path.stem}.{getattr(node, 'name', type(node).__name__)}")
+    assert calls == {"check": ["exactalg.regular_bimodule"], "validate": []}
 
 
 def test_the_order_complex_shares_no_oracle_code():
