@@ -293,12 +293,12 @@ METHODS = {
 def run(command: str, doc: InputDocument, prime: Optional[int] = None) -> RunReport:
     """Run the command's methods on one document into one report.  A method that raises
     FormulaUnavailable is recorded as ``unavailable`` and the others still run; any other
-    error ends the run.  ``formula`` labels its report q whatever the field."""
+    error ends the run."""
     if (command, doc.kind) not in METHODS:
         needs = "quiver presentation" if doc.kind == "poset" else "poset document"
         raise FormulaUnavailable(f"{command} mode needs a {needs}")
     t0 = time.perf_counter()
-    out = RunReport(doc.name, "q" if command == "formula" else _field_label(prime))
+    out = RunReport(doc.name, _field_label(prime))
     for method in METHODS[command, doc.kind]:
         try:
             method(out, doc, prime)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -73,10 +74,8 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
     puts the unit vector of its column in the row space, so its column joins
     the set ``unit``.  Every other row is copied once, as it is read, without
     its zero entries (mod prime), so a streamed row is never held twice.
-    Once all are read the unit columns are deleted from the copies in place;
-    a copy left with one entry adds its column in turn, deleted from the
-    other copies, until no column is added.  The rank is len(unit) plus the
-    rank of what is left.
+    Once all are read, each copy loses its unit columns in place just before
+    it is eliminated, so the rank is len(unit) plus the rank of what is left.
 
     That rest is eliminated with pivot rows keyed by their leading (minimum)
     column, so reducing a new row only ever introduces larger columns and
@@ -98,18 +97,10 @@ def rank(rows: Iterable[Row], prime: Optional[int] = None) -> int:
         elif row:
             rest.append({c: v % prime for c, v in row.items() if v % prime} if prime
                         else {c: v for c, v in row.items() if v})
-    new = unit
-    while True:
-        for row in rest:
-            for c in new.intersection(row):
-                del row[c]
-        new = {c for row in rest if len(row) == 1 for c in row}
-        if not new:
-            break
-        unit |= new
-        rest = [row for row in rest if len(row) > 1]
     pivots: dict = {}  # leading col -> (leading entry, ((col, entry), ...))
     for row in rest:
+        for c in unit.intersection(row):
+            del row[c]
         while row:
             c = min(row)
             f = row.pop(c)
@@ -175,6 +166,21 @@ def _combo(ops, combo: Combo) -> dict:
     return {mn: c for mn, c in out.items() if c}
 
 
+def _endpoints(alg: StructureConstantAlgebra) -> tuple[dict[int, VertexId], dict[int, VertexId],
+                                                      dict[VertexId, list[int]]]:
+    """The vertex of each vertex idempotent, the target t(b) of each basis element (b e_t = b)
+    and, for each vertex s, the basis elements b with e_s b = b, in basis order, read off the
+    table.  After ``check()`` each basis element has one source and one target: b = b.1 is
+    the sum of the b e_v, each a basis element or zero, and likewise for 1.b."""
+    vertex = {e: v for v, e in alg.vertex_idempotents.items()}
+    tgt = {i: vertex[j] for (i, j), k in alg.table.items() if j in vertex and k == i}
+    src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
+    starting: dict[VertexId, list[int]] = {}
+    for b in sorted(src):
+        starting.setdefault(src[b], []).append(b)
+    return vertex, tgt, starting
+
+
 @dataclass(frozen=True)
 class BimoduleRep:
     """A bimodule over a structure-constant algebra, via index-map actions.
@@ -228,22 +234,18 @@ class BimoduleRep:
         """What every degree of the E-relative complex reads, found once per bimodule:
         the target vertex of each basis element, the x_m in each slice e_s X e_t, the
         position of each x_m in its slice and the non-idempotent basis elements starting
-        at each vertex.  Endpoints of the basis are read off the table (e_s b = b = b e_t),
+        at each vertex.  Endpoints of the basis are read off the table by ``_endpoints``,
         and the slice of x_m off the idempotents' actions.  Raises NotApplicable when a
         product of two non-idempotent basis elements is an idempotent."""
-        alg, vertex = self.algebra, {e: v for v, e in self.algebra.vertex_idempotents.items()}
-        src = {j: vertex[i] for (i, j), k in alg.table.items() if i in vertex and k == j}
-        tgt = {i: vertex[j] for (i, j), k in alg.table.items() if j in vertex and k == i}
+        alg = self.algebra
+        vertex, tgt, starting = _endpoints(alg)
         for (i, j), k in alg.table.items():
             if k in vertex and i not in vertex and j not in vertex:
                 raise NotApplicable(f"the product of {alg.basis[i]} and {alg.basis[j]} is an idempotent")
         slices = {(s, t): sorted(self.left[es].keys() & self.right[et].keys())  # the x_m in e_s X e_t
                   for es, s in vertex.items() for et, t in vertex.items()}
         pos = {m: p for group in slices.values() for p, m in enumerate(group)}
-        starting: dict[VertexId, list[int]] = {}
-        for b in sorted(src.keys() - vertex.keys()):
-            starting.setdefault(src[b], []).append(b)
-        return tgt, slices, pos, starting
+        return tgt, slices, pos, {s: [b for b in bs if b not in vertex] for s, bs in starting.items()}
 
 
 def regular_bimodule(algebra: StructureConstantAlgebra) -> BimoduleRep:
@@ -294,64 +296,38 @@ def derivation_space_dim(x: BimoduleRep, prime: Optional[int] = None) -> int:
     = 0.  Leibniz at (b_i, e) times b_j gives f(b_i).b_j = b_i.f(e).b_j, as
     e b_j = e f b_j = 0; likewise b_i.f(b_j) = b_i.f(f).b_j.  Their sum is
     b_i.(e.f(e).f + e.f(f).f).b_j, and e.f(e).f + e.f(f).f = e.f(e f).f = 0 is
-    Leibniz at (e, f) times e on the left and f on the right.  A pair with a
-    nonzero product is never separated, so (b_i, e) and (f, b_j) are kept, and so
-    is every pair of idempotents.  Precondition: the bimodule axioms, proved by ``check()``
-    in ``regular_bimodule`` or by ``validate``.  On path, monomial, truncated and incidence
-    algebras a pair is separated exactly when t(b_i) != s(b_j).  Separation is tested
-    once per pair of groups: the basis grouped by its right and by its left idempotents.
+    Leibniz at (e, f) times e on the left and f on the right.  So the rows written
+    are those of the pairs with t(b_i) = s(b_j), endpoints read by ``_endpoints``, and
+    of every pair of vertex idempotents: any other pair is separated by e = e_t(b_i)
+    and f = e_s(b_j), and (b_i, e), (f, b_j) and (e, f) are among those written.
+    Precondition: the bimodule axioms, proved by ``check()`` in ``regular_bimodule``
+    or by ``validate``.
 
     Unknowns f[b][m] are indexed b * dim(x) + m.  Rows stream into ``rank`` pair by
-    pair, except that the unknowns forced to zero, by a row with one entry +-1 or as
-    f[k][m] where a pair of product b_k has no action term on row m, come once each:
-    the first as it is found, remembered to skip repeats, and the second at the end,
-    not gathered into a set beside the one ``rank`` keeps.
+    pair, except that f[k][m] = 0, where a pair of product b_k has no action term on
+    row m, comes once, at the end.
     """
     alg = x.algebra
     d, dx = alg.dimension, x.dim
-    idems = {b for b in range(d) if alg.table.get((b, b)) == b}
-    right_of: list[set[int]] = [set() for _ in range(d)]  # the idempotents e with b.e = b
-    left_of: list[set[int]] = [set() for _ in range(d)]  # the idempotents f with f.b = b
-    for (i, j), k in alg.table.items():
-        if j in idems and k == i:
-            right_of[i].add(j)
-        if i in idems and k == j:
-            left_of[j].add(i)
-    by_right: dict[frozenset, list[int]] = {}
-    by_left: dict[frozenset, list[int]] = {}
-    for b in range(d):
-        by_right.setdefault(frozenset(right_of[b]), []).append(b)
-        by_left.setdefault(frozenset(left_of[b]), []).append(b)
+    vertex, tgt, starting = _endpoints(alg)
+    composable = ((i, j) for i in range(d) for j in starting[tgt[i]])
+    idempotent = ((e, f) for e in vertex for f in vertex if e != f)
 
     def rows():
         touched: dict[int, set[int]] = {}  # k -> the rows m touched by every pair of product b_k
-        forced: set[int] = set()
-        for es, group_i in by_right.items():
-            for fs, group_j in by_left.items():
-                lefts, rights = group_i, group_j
-                if any((e, f) not in alg.table for e in es for f in fs):  # separated
-                    lefts, rights = [i for i in lefts if i in idems], [j for j in rights if j in idems]
-                for i in lefts:
-                    for j in rights:
-                        by_row: dict[int, Row] = {}
-                        for jj, m in x.left[i].items():
-                            _add(by_row, m, j * dx + jj, -1)
-                        for jj, m in x.right[j].items():
-                            _add(by_row, m, i * dx + jj, -1)
-                        k = alg.table.get((i, j))
-                        if k is not None:
-                            for m in by_row:
-                                _add(by_row, m, k * dx + m, 1)
-                            touched[k] = by_row.keys() & touched.get(k, by_row.keys())
-                        for r in by_row.values():
-                            if len(r) == 1 and abs(next(iter(r.values()))) == 1:
-                                if not forced.issuperset(r):
-                                    forced.update(r)
-                                    yield r
-                            elif r:
-                                yield r
-        yield from ({c: 1} for k, ms in touched.items() for m in range(dx) if m not in ms
-                    if (c := k * dx + m) not in forced)
+        for i, j in chain(composable, idempotent):
+            by_row: dict[int, Row] = {}
+            for jj, m in x.left[i].items():
+                _add(by_row, m, j * dx + jj, -1)
+            for jj, m in x.right[j].items():
+                _add(by_row, m, i * dx + jj, -1)
+            k = alg.table.get((i, j))
+            if k is not None:
+                for m in by_row:
+                    _add(by_row, m, k * dx + m, 1)
+                touched[k] = by_row.keys() & touched.get(k, by_row.keys())
+            yield from (r for r in by_row.values() if r)
+        yield from ({k * dx + m: 1} for k, ms in touched.items() for m in range(dx) if m not in ms)
 
     return d * dx - rank(rows(), prime=prime)
 

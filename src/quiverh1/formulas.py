@@ -6,10 +6,11 @@ formula for bimodules over a path algebra.  ``FORMULAS`` holds the dispatch rows
 validates the quiver first and raises NotApplicable, with its reason, when its precondition fails.
 Every row counts paths, dim Z(A) included, so none builds an algebra or ranks a system.
 
-The classical upper bound printed for the monomial case is implemented as a
-LOWER bound: the diagonal couples are always non-effective, so the effective
-count argument gives dim H^1 >= 1 - |Q0| + |Q1| per connected component (the
-Kronecker quiver, with n^2 - 1 > n - 1, rules out the opposite direction).
+The classical upper bound stated for the monomial case holds as a LOWER bound:
+the diagonal couples are always non-effective, so the effective count argument gives
+dim H^1 >= 1 - |Q0| + |Q1| per connected component (the Kronecker quiver, with
+n^2 - 1 > n - 1, rules out the opposite direction).  No row computes it; the tests
+check it in that direction (``h1_bound_monomial`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations

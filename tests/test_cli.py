@@ -158,6 +158,15 @@ def test_main_prime_field(capsys):
     capsys.readouterr()
 
 
+def test_formula_reports_the_field_it_was_asked_for(capsys):
+    """Every formula counts paths, so its number holds over every field, and formula
+    labels it with the --field given, as check does."""
+    for command in ("formula", "check"):
+        assert main([command, "--field", "fp:3", "--json", f"{FIXTURE_DIR}/kronecker2.quiver"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["field"], payload["dim_h1"]) == ("fp:3", 3), command
+
+
 def test_main_rejects_composite_moduli(capsys):
     fx = str(FIXTURE_DIR)
     for spec in ("fp:1", "fp:4", "fp:6", "fp:9", "fp:3317044064679887385961981"):

@@ -2,7 +2,6 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -101,8 +100,8 @@ def sparse_int_matrices(draw):
     pivots occur, then integer combinations of them, so that the rank over Q
     falls short of the row count (a wrong elimination step on a full-rank
     matrix would still find full rank).  Then up to 4 unit rows and up to 3 of
-    the rows scaled by 2 or 3, so that rank sets unit rows aside, some in a
-    cascade, and some rows vanish or lose entries mod 2 or mod 3."""
+    the rows scaled by 2 or 3, so that rank sets unit rows aside, some rows
+    then keep one entry, and some rows vanish or lose entries mod 2 or mod 3."""
     cols = draw(st.integers(1, 12))
     entry = st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3])
     base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=12))
@@ -125,10 +124,9 @@ def test_rank_matches_reference_kernel(entries):
 
 
 def test_rank_sets_unit_rows_aside():
-    # each unit column found drops out of a row that then has one entry, in turn
-    cascade = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}]
+    # the unit column drops out of one longer row, and elimination does the rest
     for prime in (None, 2, 3):
-        assert rank(cascade, prime=prime) == 3
+        assert rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}], prime=prime) == 3
     # a unit row counts only when its entry is nonzero in the field
     assert rank([{0: 3}]) == 1 and rank([{0: 3}], prime=3) == 0
     assert rank([{0: 3, 1: 1}, {1: 1}], prime=3) == 1
@@ -137,17 +135,14 @@ def test_rank_sets_unit_rows_aside():
     assert rank([{0: 0, 1: 2}, {1: 1, 2: 1}]) == 2
 
 
-def test_a_cascade_of_unit_rows_is_set_aside_whole(monkeypatch):
-    """Over Q every new pivot of the elimination takes one gcd.  Setting aside the unit
-    row of a chain frees one column per round, and the rounds repeat until none is
-    freed, so the whole chain is set aside and nothing is left to eliminate."""
-    from quiverh1 import exactalg
-
-    calls = []
-    monkeypatch.setattr(exactalg, "gcd", lambda *a: calls.append(a) or gcd(*a))
+def test_a_cascade_of_unit_rows_is_set_aside_whole():
+    """A chain of two-entry rows ending in a unit row: rank sets column 10 aside and
+    deletes it from the last longer row, and elimination gives every other row of the
+    chain its own pivot, so the chain has full rank whatever the field."""
     chain = [{c: 1, c + 1: 1} for c in range(10)] + [{10: 1}]
-    assert rank(chain) == 11 and calls == []
-    assert rank(chain + [{0: 1, 5: 2, 11: 1, 12: 1}]) == 12 and len(calls) == 1
+    for prime in (None, 2, 3):
+        assert rank(chain, prime=prime) == 11
+    assert rank(chain + [{0: 1, 5: 2, 11: 1, 12: 1}]) == 12
 
 
 def test_rank_reads_an_iterable_once():
@@ -157,7 +152,7 @@ def test_rank_reads_an_iterable_once():
 
 
 def test_rank_leaves_input_rows_unchanged():
-    # the last four rows are set aside in a cascade: columns 2 and 4, then 3, then 1
+    # columns 2 and 4 are set aside and deleted from the copies of the longer rows
     rows = [{0: 2, 1: 3, 2: 1}, {0: 3, 1: 5}, {0: 5, 1: 8, 2: 1}, {2: 7}, {1: 1, 3: 2}, {3: 4, 4: 1}, {4: 5}]
     before = [dict(r) for r in rows]
     for prime in (None, 7):
@@ -490,9 +485,10 @@ def test_bar_h1_of_fib_dags_equals_the_formula_and_the_opposite_algebras():
 
 def test_the_brute_derivation_system_is_never_held_whole(monkeypatch):
     """On the Fib-DAG path algebra with n = 7 (d = 79) the derivation system has 6241
-    unknowns and 8285 rows, 5677 of them with one entry (all d^2 pairs gave 58,543 rows,
-    55,057 with one entry).  The rows stream into rank, which keeps only the longer
-    ones, so the traced peak stays small, and no column has two one-entry rows."""
+    unknowns and 9233 rows: 2608 with two or more entries and 6625 with one entry, on
+    5677 distinct columns (all d^2 pairs gave 58,543 rows, 55,057 with one entry).  The
+    rows stream into rank, which keeps only the longer ones, so the traced peak stays
+    small."""
     from quiverh1 import exactalg
 
     n = 7
@@ -508,19 +504,21 @@ def test_the_brute_derivation_system_is_never_held_whole(monkeypatch):
     assert h1_oracle(x) == 2 * n - 4
     assert peak < 8 * 2**20, peak
 
-    real, one_entry = exactalg.rank, []
+    real, one_entry, longer = exactalg.rank, [], []
 
     def counting_rank(rows, prime=None):
         def each():
             for row in rows:
                 if len(row) == 1:
                     one_entry.extend(row)
+                else:
+                    longer.append(row)
                 yield row
         return real(each(), prime=prime)
 
     monkeypatch.setattr(exactalg, "rank", counting_rank)
     assert derivation_space_dim(x) == 88
-    assert len(one_entry) == len(set(one_entry)) == 5677
+    assert (len(set(one_entry)), len(longer)) == (5677, 2608)
 
 
 def _derivation_bimodules():
