@@ -16,6 +16,11 @@ File grammar (line-oriented, '#' starts a comment):
     relation <a> <= <b>
     end
 
+Each directive takes exactly the tokens shown, and a monomial relation at least two
+arrows.  A name is defined once, before it is used.  There is at most one ``truncate``,
+at level >= 2, never mixed with ``monomial``; nothing follows ``end``.  A line error
+cites its line, an error of the whole document (an empty vertex set) the header line.
+
 Exit statuses: 0 success/agreement, 1 mismatch of two methods, 2 input error,
 3 unsupported.  Each command runs the methods that ``METHODS`` lists for it and
 the document's kind into one report; the oracle adds two, derivations modulo
@@ -93,136 +98,114 @@ class RunReport:
         }
 
 
-def parse(text: str) -> InputDocument:
-    """Parse one document; raises ParseError with a 1-based line number."""
-    kind = None
-    name = None
-    vertices: list[str] = []
-    arrows: list[Arrow] = []
-    arrow_by_name: dict[str, Arrow] = {}
-    monomials: list[tuple[int, list[str]]] = []  # (line, arrow names)
-    truncate: Optional[int] = None
-    elements: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    pair_lines: list[int] = []
-    ended = False
+def _fresh(lineno: int, what: str, name: str, seen) -> None:
+    """Raise unless ``name`` is not yet defined."""
+    if name in seen:
+        raise ParseError(lineno, f"duplicate definition of {what} {name!r}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+
+def _known(lineno: int, what: str, names, seen) -> None:
+    """Raise unless every one of ``names`` is already defined."""
+    for name in names:
+        if name not in seen:
+            raise ParseError(lineno, f"unresolved name: {what} {name!r}")
+
+
+def parse(text: str) -> InputDocument:
+    """Parse one document; raises ParseError with a 1-based line number: the line at
+    fault, or the header line for an error of the whole document."""
+    kind = name = None
+    vertices: dict[str, None] = {}  # insertion-ordered sets
+    elements: dict[str, None] = {}
+    arrows: dict[str, Arrow] = {}
+    monomials: dict[tuple[str, ...], int] = {}  # arrow names -> the first line with them
+    truncate: Optional[int] = None
+    pairs: dict[int, tuple[str, str]] = {}  # line -> (a, b) meaning a <= b
+
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        head = tokens[0]
         if kind is None:
-            if head == "quiver" and len(tokens) == 2:
-                kind, name = "quiver-presentation", tokens[1]
-            elif head == "poset" and len(tokens) == 2:
-                kind, name = "poset", tokens[1]
-            else:
-                raise ParseError(lineno, "expected 'quiver <name>' or 'poset <name>'")
+            match tokens:
+                case ["quiver" | "poset" as kind, name]:
+                    header, is_quiver = lineno, kind == "quiver"
+                case _:
+                    raise ParseError(lineno, "expected 'quiver <name>' or 'poset <name>'")
             continue
-        if ended:
-            raise ParseError(lineno, "content after 'end'")
-        if head == "end":
-            if len(tokens) != 1:
-                raise ParseError(lineno, "'end' takes no arguments")
-            ended = True
-        elif kind == "quiver-presentation":
-            if head == "vertex" and len(tokens) == 2:
-                if tokens[1] in vertices:
-                    raise ParseError(lineno, f"duplicate definition of vertex {tokens[1]!r}")
-                vertices.append(tokens[1])
-            elif head == "arrow" and len(tokens) == 4:
-                nm, src, tgt = tokens[1:]
-                if nm in arrow_by_name:
-                    raise ParseError(lineno, f"duplicate definition of arrow {nm!r}")
-                if src not in vertices:
-                    raise ParseError(lineno, f"unresolved name: vertex {src!r}")
-                if tgt not in vertices:
-                    raise ParseError(lineno, f"unresolved name: vertex {tgt!r}")
-                a = Arrow(nm, src, tgt)
-                arrows.append(a)
-                arrow_by_name[nm] = a
-            elif head == "relation" and len(tokens) >= 2 and tokens[1] == "monomial":
+        match tokens:
+            case ["vertex", v] if is_quiver:
+                _fresh(lineno, "vertex", v, vertices)
+                vertices[v] = None
+            case ["arrow", nm, src, tgt] if is_quiver:
+                _fresh(lineno, "arrow", nm, arrows)
+                _known(lineno, "vertex", (src, tgt), vertices)
+                arrows[nm] = Arrow(nm, src, tgt)
+            case ["relation", "monomial", *_] if is_quiver:  # *_ builds no list for a line that fails
+                names = tokens[2:]
                 if truncate is not None:
                     raise ParseError(lineno, "cannot mix 'monomial' and 'truncate' relations")
-                if len(tokens) < 4:
+                if len(names) < 2:
                     raise ParseError(lineno, "monomial relation needs at least two arrows")
-                for nm in tokens[2:]:
-                    if nm not in arrow_by_name:
-                        raise ParseError(lineno, f"unresolved name: arrow {nm!r}")
-                monomials.append((lineno, tokens[2:]))
-            elif head == "relation" and len(tokens) == 3 and tokens[1] == "truncate":
+                _known(lineno, "arrow", names, arrows)
+                monomials.setdefault(tuple(names), lineno)
+            case ["relation", "truncate", m] if is_quiver:
                 if monomials:
                     raise ParseError(lineno, "cannot mix 'monomial' and 'truncate' relations")
                 if truncate is not None:
                     raise ParseError(lineno, "duplicate truncate relation")
                 try:
-                    truncate = int(tokens[2])
+                    truncate = int(m)
                 except ValueError:
-                    raise ParseError(lineno, f"invalid truncation level {tokens[2]!r}")
+                    raise ParseError(lineno, f"invalid truncation level {m!r}")
                 if truncate < 2:
                     raise ParseError(lineno, "truncation level must be >= 2")
-            else:
-                raise ParseError(lineno, f"unknown directive {line!r}")
-        else:  # poset
-            if head == "element" and len(tokens) == 2:
-                if tokens[1] in elements:
-                    raise ParseError(lineno, f"duplicate definition of element {tokens[1]!r}")
-                elements.append(tokens[1])
-            elif head == "covers" and len(tokens) == 3:
-                upper, lower = tokens[1], tokens[2]
-                for e in (upper, lower):
-                    if e not in elements:
-                        raise ParseError(lineno, f"unresolved name: element {e!r}")
-                pairs.append((lower, upper))  # covers upper lower means lower <= upper
-                pair_lines.append(lineno)
-            elif head == "relation" and len(tokens) == 4 and tokens[2] == "<=":
-                for e in (tokens[1], tokens[3]):
-                    if e not in elements:
-                        raise ParseError(lineno, f"unresolved name: element {e!r}")
-                pairs.append((tokens[1], tokens[3]))
-                pair_lines.append(lineno)
-            else:
-                raise ParseError(lineno, f"unknown directive {line!r}")
+            case ["element", e] if not is_quiver:
+                _fresh(lineno, "element", e, elements)
+                elements[e] = None
+            case ["covers", upper, lower] if not is_quiver:
+                _known(lineno, "element", (upper, lower), elements)
+                pairs[lineno] = (lower, upper)
+            case ["relation", a, "<=", b] if not is_quiver:
+                _known(lineno, "element", (a, b), elements)
+                pairs[lineno] = (a, b)
+            case ["end"]:
+                break
+            case ["end", *_]:
+                raise ParseError(lineno, "'end' takes no arguments")
+            case _:
+                raise ParseError(lineno, f"unknown directive {raw.split('#', 1)[0].strip()!r}")
+    else:  # no 'end'
+        raise ParseError(lineno, "missing 'end'") if kind else ParseError(1, "empty document")
+    for lineno, raw in lines:  # the lines after 'end'
+        if raw.split("#", 1)[0].strip():
+            raise ParseError(lineno, "content after 'end'")
 
-    if kind is None:
-        raise ParseError(1, "empty document")
-    if not ended:
-        raise ParseError(len(text.splitlines()) or 1, "missing 'end'")
-
-    if kind == "poset":
+    if not is_quiver:
         try:
-            return InputDocument(kind, name, Poset.from_pairs(elements, pairs))
+            return InputDocument("poset", name, Poset.from_pairs(elements, pairs.values()))
         except InvalidPoset as exc:
-            raise ParseError(pair_lines[exc.pair], str(exc))
+            raise ParseError(list(pairs)[exc.pair], str(exc))
 
-    quiver = Quiver(vertices, arrows)
+    quiver = Quiver(vertices, arrows.values())
     try:
         validate(quiver)
-        if truncate is not None:
-            scheme = TruncationIdeal(truncate)
-        elif monomials:
-            gens = []
-            line_of: dict[tuple[str, ...], int] = {}
-            for lineno, names in monomials:
-                seq = [arrow_by_name[n] for n in names]
-                try:
-                    gens.append(Path(seq[0].source, seq))
-                except ValueError as exc:
-                    raise ParseError(lineno, f"relation is not a path: {exc}")
-                line_of.setdefault(tuple(names), lineno)
-            try:
-                scheme = check_minimal(quiver, gens)
-            except InvalidIdeal as exc:
-                raise ParseError(line_of[exc.generator.arrow_names()], str(exc))
-        else:
-            scheme = None
-    except ParseError:
-        raise
     except QuiverH1Error as exc:
-        raise ParseError(1, str(exc))
-    return InputDocument(kind, name, AlgebraPresentation(quiver, scheme))
+        raise ParseError(header, str(exc))
+    scheme = None if truncate is None else TruncationIdeal(truncate)
+    if monomials:
+        gens = []
+        for names, lineno in monomials.items():
+            try:
+                gens.append(Path(arrows[names[0]].source, (arrows[n] for n in names)))
+            except ValueError as exc:
+                raise ParseError(lineno, f"relation is not a path: {exc}")
+        try:
+            scheme = check_minimal(quiver, gens)
+        except InvalidIdeal as exc:
+            raise ParseError(monomials[exc.generator.arrow_names()], str(exc))
+    return InputDocument("quiver-presentation", name, AlgebraPresentation(quiver, scheme))
 
 
 def serialize(doc: InputDocument) -> str:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -9,6 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import quiverh1
 
@@ -24,9 +27,18 @@ from quiverh1.cli import (
     serialize,
 )
 from quiverh1.errors import ParseError
-from quiverh1.presentations import AlgebraPresentation
+from quiverh1.presentations import AlgebraPresentation, TruncationIdeal
+from quiverh1.simplicial import Poset
 
-from conftest import FIXTURE_DIR, fib_dag, fixture_text, random_monomial_instances
+from conftest import (
+    FIXTURE_DIR,
+    cycle,
+    fib_dag,
+    fixture_text,
+    random_connected_dag,
+    random_minimal_ideal,
+    random_monomial_instances,
+)
 from test_presentations import admissible_cycle_presentation, truncated_cycles
 
 
@@ -78,6 +90,125 @@ def test_parse_rejects_mixed_relations():
         parse(text)
 
 
+_XY = "quiver q\nvertex x\nvertex y\n"
+_AB = _XY + "arrow a x y\narrow b y x\n"
+_ABC = "poset p\nelement a\nelement b\nelement c\n"
+
+# One short document per error parse can raise: (document, line, message).
+PARSE_ERRORS = [
+    ("vertex x\nend\n", 1, "expected 'quiver <name>' or 'poset <name>'"),
+    ("# c\nquiver\nend\n", 2, "expected 'quiver <name>' or 'poset <name>'"),
+    ("poset p q\nend\n", 1, "expected 'quiver <name>' or 'poset <name>'"),
+    (_XY + "end\nvertex z\n", 5, "content after 'end'"),
+    (_XY + "end\nend\n", 5, "content after 'end'"),
+    (_XY + "end now\n", 4, "'end' takes no arguments"),
+    (_XY + "vertex x\nend\n", 4, "duplicate definition of vertex 'x'"),
+    (_AB + "arrow a y y\nend\n", 6, "duplicate definition of arrow 'a'"),
+    (_AB + "arrow a z w\nend\n", 6, "duplicate definition of arrow 'a'"),
+    (_XY + "arrow a z y\nend\n", 4, "unresolved name: vertex 'z'"),
+    (_XY + "arrow a x z\nend\n", 4, "unresolved name: vertex 'z'"),
+    (_XY + "arrow a w z\nend\n", 4, "unresolved name: vertex 'w'"),
+    (_AB + "relation monomial a c\nend\n", 6, "unresolved name: arrow 'c'"),
+    (_AB + "relation monomial d a c\nend\n", 6, "unresolved name: arrow 'd'"),
+    (_ABC + "element b\nend\n", 5, "duplicate definition of element 'b'"),
+    (_ABC + "covers d a\nend\n", 5, "unresolved name: element 'd'"),
+    (_ABC + "covers a d\nend\n", 5, "unresolved name: element 'd'"),
+    (_ABC + "covers e d\nend\n", 5, "unresolved name: element 'e'"),
+    (_ABC + "relation d <= e\nend\n", 5, "unresolved name: element 'd'"),
+    (_ABC + "relation a <= e\nend\n", 5, "unresolved name: element 'e'"),
+    (_AB + "relation monomial a b\nrelation truncate 2\nend\n", 7,
+     "cannot mix 'monomial' and 'truncate' relations"),
+    (_AB + "relation truncate 2\nrelation monomial a b\nend\n", 7,
+     "cannot mix 'monomial' and 'truncate' relations"),
+    (_AB + "relation truncate 2\nrelation monomial a\nend\n", 7,
+     "cannot mix 'monomial' and 'truncate' relations"),
+    (_AB + "relation monomial a b\nrelation truncate x\nend\n", 7,
+     "cannot mix 'monomial' and 'truncate' relations"),
+    (_AB + "relation monomial a\nend\n", 6, "monomial relation needs at least two arrows"),
+    (_AB + "relation monomial\nend\n", 6, "monomial relation needs at least two arrows"),
+    (_AB + "relation monomial c\nend\n", 6, "monomial relation needs at least two arrows"),
+    (_AB + "relation truncate 2\nrelation truncate 3\nend\n", 7, "duplicate truncate relation"),
+    (_AB + "relation truncate 2\nrelation truncate x\nend\n", 7, "duplicate truncate relation"),
+    (_AB + "relation truncate x\nend\n", 6, "invalid truncation level 'x'"),
+    (_AB + "relation truncate 2.5\nend\n", 6, "invalid truncation level '2.5'"),
+    (_AB + "relation truncate 1\nend\n", 6, "truncation level must be >= 2"),
+    (_AB + "relation truncate -3\nend\n", 6, "truncation level must be >= 2"),
+    ("", 1, "empty document"),
+    ("# only a comment\n\n", 1, "empty document"),
+    (_XY, 3, "missing 'end'"),
+    (_XY + "# trailing\n\n", 5, "missing 'end'"),
+    ("poset p\n", 1, "missing 'end'"),
+    (_XY + "vertex\nend\n", 4, "unknown directive 'vertex'"),
+    (_XY + "vertex z w\nend\n", 4, "unknown directive 'vertex z w'"),
+    (_XY + "arrow a x\nend\n", 4, "unknown directive 'arrow a x'"),
+    (_AB + "relation truncate\nend\n", 6, "unknown directive 'relation truncate'"),
+    (_AB + "relation truncate 2 3\nend\n", 6, "unknown directive 'relation truncate 2 3'"),
+    (_AB + "relation monomial a b\nrelation truncate\nend\n", 7, "unknown directive 'relation truncate'"),
+    (_AB + "relation\nend\n", 6, "unknown directive 'relation'"),
+    (_AB + "relation a <= b\nend\n", 6, "unknown directive 'relation a <= b'"),
+    (_XY + "  bogus\t y   # a comment\nend\n", 4, "unknown directive 'bogus\\t y'"),
+    (_XY + "element x\nend\n", 4, "unknown directive 'element x'"),
+    (_XY + "poset p\nend\n", 4, "unknown directive 'poset p'"),
+    (_ABC + "covers a\nend\n", 5, "unknown directive 'covers a'"),
+    (_ABC + "covers a b c\nend\n", 5, "unknown directive 'covers a b c'"),
+    (_ABC + "relation a < b\nend\n", 5, "unknown directive 'relation a < b'"),
+    (_ABC + "relation a <=\nend\n", 5, "unknown directive 'relation a <='"),
+    (_ABC + "relation truncate 2\nend\n", 5, "unknown directive 'relation truncate 2'"),
+    (_ABC + "relation monomial a b\nend\n", 5, "unknown directive 'relation monomial a b'"),
+    (_ABC + "element\nend\n", 5, "unknown directive 'element'"),
+    (_ABC + "vertex a\nend\n", 5, "unknown directive 'vertex a'"),
+    (_AB + "relation monomial a a\nend\n", 6,
+     "relation is not a path: arrows 'a' and 'a' are not composable"),
+    (_AB + "relation monomial a a\nrelation monomial a a\nend\n", 6,
+     "relation is not a path: arrows 'a' and 'a' are not composable"),
+    (_AB + "relation monomial a b\nrelation monomial a b a\nend\n", 7, "non-minimal: a*b*a contains a*b"),
+    (_AB + "relation monomial a b a\nrelation monomial a b\nrelation monomial a b a\nend\n", 6,
+     "non-minimal: a*b*a contains a*b"),
+    (_ABC + "relation a <= b\ncovers a b\nend\n", 6, "antisymmetry violation: 'a' <= 'b' <= 'a'"),
+    ("quiver q\nend\n", 1, "empty vertex set"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS,
+                         ids=[re.sub(r"\W+", "-", message).strip("-") for _, _, message in PARSE_ERRORS])
+def test_each_parse_error_cites_its_line_and_message(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.message) == (line, message)
+
+
+def _literal_prefix(node: ast.expr):
+    """The constant text a string or f-string starts with; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        head = []
+        for part in node.values:
+            if not isinstance(part, ast.Constant):
+                break
+            head.append(part.value)
+        return "".join(head)
+    return None
+
+
+def test_every_parse_error_message_in_the_cli_is_pinned():
+    """Each literal ParseError message in cli.py starts one of the pinned messages, so a
+    new parse error fails here until the table has a case for it."""
+    tree = ast.parse(FsPath(quiverh1.cli.__file__).read_text())
+    prefixes = [_literal_prefix(n.args[1]) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "ParseError" and len(n.args) == 2]
+    prefixes = [p for p in prefixes if p is not None]
+    assert len(prefixes) >= 12  # the messages are found
+    pinned = [message for _, _, message in PARSE_ERRORS]
+    assert [p for p in prefixes if not any(m.startswith(p) for m in pinned)] == []
+
+
+def test_a_whole_document_error_cites_the_header_line():
+    with pytest.raises(ParseError) as exc:
+        parse("# c\n\nquiver q\nend\n")
+    assert (exc.value.line, exc.value.message) == (3, "empty vertex set")
+
+
 def test_serialize_round_trip():
     for name in (
         "kronecker2.quiver",
@@ -92,6 +223,39 @@ def test_serialize_round_trip():
         again = parse(text)
         assert serialize(again) == text
         assert again.name == doc.name and again.kind == doc.kind
+
+
+@st.composite
+def documents(draw):
+    """A document from the seeded generators: a connected acyclic quiver with no
+    relations, a minimal monomial ideal or a truncation; a cycle with a truncation; or
+    a poset of 0-7 elements listed out of order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["none", "monomial", "truncated", "cycle", "poset"]))
+    name = f"{shape}{rng.randrange(100)}"
+    if shape == "poset":
+        names = [f"p{i}" for i in range(rng.randint(0, 7))]
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.3]
+        rng.shuffle(names)
+        return InputDocument("poset", name, Poset.from_pairs(names, pairs))
+    if shape == "cycle":
+        return InputDocument("quiver-presentation", name, AlgebraPresentation(
+            cycle(rng.randint(1, 5)), TruncationIdeal(rng.randint(2, 4))))
+    q = random_connected_dag(rng)
+    scheme = None
+    if shape == "monomial":
+        ideal = random_minimal_ideal(rng, q)
+        scheme = ideal if ideal.generators else None  # the grammar writes an empty ideal as no relations
+    elif shape == "truncated":
+        scheme = TruncationIdeal(rng.randint(2, 4))
+    return InputDocument("quiver-presentation", name, AlgebraPresentation(q, scheme))
+
+
+@given(documents())
+def test_parse_inverts_serialize(doc):
+    """parse . serialize gives back the document's kind, name and body."""
+    again = parse(serialize(doc))
+    assert (again.kind, again.name, again.body) == (doc.kind, doc.name, doc.body)
 
 
 def test_run_formula_reports():

@@ -117,8 +117,8 @@ def test_the_order_complex_shares_no_oracle_code():
 
 # Top-level definitions that stay in the package with no caller there, and why.
 KEEP = {
-    "cli.serialize": "parse . serialize is the identity, a property the tests check",
-    "presentations.truncation_generators": "Z of a truncated presentation, for Bardzell's complex (ROADMAP item 1(b))",
+    "cli.serialize": "parse . serialize is the identity: test_cli.py::test_parse_inverts_serialize",
+    "presentations.truncation_generators": "Z of a truncated presentation, for ROADMAP items 1 and 3",
 }
 
 
