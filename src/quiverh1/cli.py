@@ -20,6 +20,8 @@ Each directive takes exactly the tokens shown, and a monomial relation at least 
 arrows.  A name is defined once, before it is used.  There is at most one ``truncate``,
 at level >= 2, never mixed with ``monomial``; nothing follows ``end``.  A line error
 cites its line, an error of the whole document (an empty vertex set) the header line.
+Lines end at \n, \r\n or \r only, as in a file read in text mode, so a form feed or
+U+2028 in a comment ends no line; a file may open with a UTF-8 byte-order mark.
 
 Exit statuses: 0 success/agreement, 1 mismatch of two methods, 2 input error,
 3 unsupported.  Each command runs the methods that ``METHODS`` lists for it and
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 import time
@@ -122,7 +125,7 @@ def parse(text: str) -> InputDocument:
     truncate: Optional[int] = None
     pairs: dict[int, tuple[str, str]] = {}  # line -> (a, b) meaning a <= b
 
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(io.StringIO(text, newline=None), start=1)  # ends lines as open() does
     for lineno, raw in lines:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -202,7 +205,7 @@ def parse(text: str) -> InputDocument:
             except ValueError as exc:
                 raise ParseError(lineno, f"relation is not a path: {exc}")
         try:
-            scheme = check_minimal(quiver, gens)
+            scheme = check_minimal(gens)
         except InvalidIdeal as exc:
             raise ParseError(monomials[exc.generator.arrow_names()], str(exc))
     return InputDocument("quiver-presentation", name, AlgebraPresentation(quiver, scheme))
@@ -359,7 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _run_file(path: str, args: argparse.Namespace, prime: Optional[int]) -> int:
     """Run the command on one file, print its report and errors, and return its status."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         report = run(args.command, parse(text), prime)
     except (OSError, UnicodeDecodeError, QuiverH1Error) as exc:

@@ -29,7 +29,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .errors import ComplexFault, NotApplicable
-from .presentations import Combo, StructureConstantAlgebra, composite_failures
+from .presentations import StructureConstantAlgebra, composite_failures
 from .quiver import VertexId
 
 Row = dict  # column -> scalar
@@ -157,15 +157,6 @@ def cohomology_dims(coboundary: Callable[[int], tuple[int, dict[int, Row]]], deg
 # --- bimodules ---------------------------------------------------------------
 
 
-def _combo(ops, combo: Combo) -> dict:
-    """The operator sum of c * ops[k] over combo, as {(m, n): nonzero coefficient}."""
-    out: dict = {}
-    for k, c in combo.items():
-        for mn in ops[k].items():
-            out[mn] = out.get(mn, 0) + c
-    return {mn: c for mn, c in out.items() if c}
-
-
 def _endpoints(alg: StructureConstantAlgebra) -> tuple[dict[int, VertexId], dict[int, VertexId],
                                                       dict[VertexId, list[int]]]:
     """The vertex of each vertex idempotent, the target t(b) of each basis element (b e_t = b)
@@ -205,7 +196,9 @@ class BimoduleRep:
         action, the right one on the opposite table; commuting is compared on the
         triples where an image n of one map is in the domain of the other, the only
         ones where a side is nonzero.  The least failing (i, j, test), left before
-        right before commute, is the first failure of the loop over all d^2 pairs."""
+        right before commute, is the first failure of the loop over all d^2 pairs.  The
+        unit, the sum of the idempotent elements e, acts as 1 when the images of each x_m
+        under the e are exactly [x_m], on each side."""
         alg = self.algebra
         left_at: dict[int, list[int]] = {}  # n -> every b with n in the domain of left[b]
         right_at: dict[int, list[int]] = {}  # likewise for right[b]
@@ -224,9 +217,14 @@ class BimoduleRep:
             i, j, test = min(failures)
             raise AssertionError(("left action is not a homomorphism at ({}, {})", "right action fails at ({}, {})",
                                   "actions do not commute at ({}, {})")[test].format(i, j))
-        ident = {(m, m): 1 for m in range(self.dim)}
-        if _combo(self.left, alg.unit) != ident or _combo(self.right, alg.unit) != ident:
-            raise AssertionError("unit does not act as identity")
+        idems, ident = set(alg.vertex_idempotents.values()), {m: [m] for m in range(self.dim)}
+        for ops in (left, right):
+            images: dict[int, list[int]] = {}  # m -> the images of x_m under the idempotent elements
+            for e in idems:
+                for m, n in ops[e].items():
+                    images.setdefault(m, []).append(n)
+            if images != ident:
+                raise AssertionError("unit does not act as identity")
         return self
 
     @cached_property

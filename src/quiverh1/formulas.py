@@ -58,7 +58,7 @@ class H1Report:
     intermediates: dict = field(default_factory=dict)
 
 
-def _parallel_basis_paths(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], list[Path]]:
+def _paths_parallel_to_arrows(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], list[Path]]:
     """The basis paths parallel to an arrow, keyed by their endpoints, each group sorted as
     in the basis.  One search per arrow source x lists the paths from x that avoid Z, into
     the vertices that reach a target of an arrow leaving x only; nothing else is listed."""
@@ -76,7 +76,7 @@ def _parallel_basis_paths(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[Vertex
 def effective_pairs(presentation: AlgebraPresentation) -> CoupleClassification:
     """Classify the couples (arrow a, basis path e parallel to a) of an acyclic monomial
     presentation, in arrow order and then basis order.  The paths e come from
-    ``_parallel_basis_paths``, so the whole basis is never listed.  A couple is glued when
+    ``_paths_parallel_to_arrows``, so the whole basis is never listed.  A couple is glued when
     e begins or ends with a, or a is a loop at the trivial path e.  On an acyclic quiver the
     glued couples are exactly the diagonal (a, a): a parallel path a*w or w*a with w
     nontrivial would make w a cycle, and a trivial path is parallel to a loop only.  Any
@@ -86,7 +86,7 @@ def effective_pairs(presentation: AlgebraPresentation) -> CoupleClassification:
     q, Z = presentation.quiver, presentation.scheme
     if not q.acyclic or presentation.kind != "monomial":
         raise NotApplicable("effective couples need a monomial ideal on an acyclic quiver")
-    parallel = _parallel_basis_paths(q, Z)
+    parallel = _paths_parallel_to_arrows(q, Z)
     occurrences: dict[str, list[tuple[tuple[str, ...], int]]] = {}  # arrow name -> (generator, position)
     for z in Z.names:
         for k, x in enumerate(z):

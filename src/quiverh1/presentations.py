@@ -118,7 +118,7 @@ class AlgebraPresentation:
         return _path_basis_algebra(self.basis)
 
 
-def check_minimal(quiver: Quiver, Z: Iterable[Path]) -> MonomialIdeal:
+def check_minimal(Z: Iterable[Path]) -> MonomialIdeal:
     """Validate generator lengths and minimality; returns the ideal on success.  Reports
     each z's smallest generator sub-sequence by (length, names), as a pairwise test would."""
     gens = list(Z)
@@ -242,8 +242,6 @@ def truncation_generators(quiver: Quiver, m: int) -> MonomialIdeal:
 
 # --- structure-constant algebras ---------------------------------------------
 
-Combo = dict[int, int]  # basis index -> integer coefficient (sparse, nonzero)
-
 
 @dataclass(frozen=True)
 class StructureConstantAlgebra:
@@ -251,25 +249,22 @@ class StructureConstantAlgebra:
 
     ``table[(i, j)] = k`` means b_i b_j = b_k; absent keys mean zero.  Every
     algebra the program builds (paths modulo a monomial ideal, matrix units of
-    an incidence algebra) multiplies basis elements this way.  ``basis_paths``
-    is kept when the basis consists of paths and the table is their
-    concatenation, so vertex-pair slices and concatenations can be read off.
+    an incidence algebra) multiplies basis elements this way.  Its unit is the
+    sum of the vertex idempotents.
     """
 
     basis: tuple[str, ...]
     table: dict[tuple[int, int], int]
-    unit: Combo
     vertex_idempotents: dict[VertexId, int]
-    basis_paths: Optional[PathBasis] = None
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def opposite(self) -> "StructureConstantAlgebra":
-        """The reversed table; its basis paths are dropped, as it is not their concatenation."""
+        """The algebra on the reversed table, with the same basis and vertex idempotents."""
         op_table = {(j, i): k for (i, j), k in self.table.items()}
-        return StructureConstantAlgebra(self.basis, op_table, dict(self.unit), dict(self.vertex_idempotents))
+        return StructureConstantAlgebra(self.basis, op_table, dict(self.vertex_idempotents))
 
     def check(self) -> None:
         """Assert associativity on all basis triples and the unit/idempotent axioms.
@@ -277,37 +272,36 @@ class StructureConstantAlgebra:
         The rows of the table (rows[i][j] = k for b_i b_j = b_k) are the left regular
         action, so associativity at (i, j, k) is its composite identity at that triple,
         and the least of ``composite_failures`` is the first failure of the loop over all
-        d^3 triples.  The unit and orthogonality axioms read the table and the rows too.
+        d^3 triples.  The unit, the sum of the idempotent elements e, acts as 1 on b
+        when the nonzero products e b are exactly [b], and likewise the b e; they are
+        read off the same pass over the table, and orthogonality off the rows.
         """
         rows: list[dict[int, int]] = [{} for _ in range(self.dimension)]
-        by_unit: tuple[dict, dict] = ({}, {})  # [0][j] = unit * b_j, [1][i] = b_i * unit, zeros kept
+        elements = set(self.vertex_idempotents.values())
+        by_unit: tuple[dict, dict] = ({}, {})  # [0][j] = the nonzero e b_j, [1][i] = the nonzero b_i e
         for (i, j), k in self.table.items():
             rows[i][j] = k
-            for side, b, u in ((by_unit[0], j, i), (by_unit[1], i, j)):
-                if u in self.unit:
-                    acc = side.setdefault(b, {})
-                    acc[k] = acc.get(k, 0) + self.unit[u]
+            if i in elements:
+                by_unit[0].setdefault(j, []).append(k)
+            if j in elements:
+                by_unit[1].setdefault(i, []).append(k)
         bad = composite_failures(rows, self.table)
         if bad:
             i, j, k = min(bad)
             raise AssertionError(f"associativity failure at ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})")
         for i in range(self.dimension):
-            if any({k: c for k, c in side.get(i, {}).items() if c} != {i: 1} for side in by_unit):
+            if by_unit[0].get(i) != [i] or by_unit[1].get(i) != [i]:
                 raise AssertionError(f"unit failure at {self.basis[i]}")
         idems = list(self.vertex_idempotents.items())
-        total: Combo = {}
         positions: dict[int, list[int]] = {}  # basis index -> positions in idems
         for p, (v, i) in enumerate(idems):
             if self.table.get((i, i)) != i:
                 raise AssertionError(f"vertex element {v} is not idempotent")
-            total[i] = total.get(i, 0) + 1
             positions.setdefault(i, []).append(p)
         for p, (v, i) in enumerate(idems):
             others = [q for j in rows[i] for q in positions.get(j, ()) if q != p]
             if others:
                 raise AssertionError(f"idempotents {v}, {idems[min(others)][0]} are not orthogonal")
-        if total != self.unit:
-            raise AssertionError("vertex idempotents do not sum to the unit")
 
 
 def composite_failures(ops, table: dict) -> set[tuple[int, int, int]]:
@@ -328,9 +322,8 @@ def composite_failures(ops, table: dict) -> set[tuple[int, int, int]]:
     return bad
 
 
-def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:
+def _path_basis_algebra(basis: PathBasis) -> StructureConstantAlgebra:
     """Pairs each basis path only with the basis paths starting at its target."""
-    basis = PathBasis(paths)
     table: dict[tuple[int, int], int] = {}
     for i, p in enumerate(basis):
         for j in basis.starting.get(p.target, ()):
@@ -338,8 +331,7 @@ def _path_basis_algebra(paths: list[Path]) -> StructureConstantAlgebra:
             if k is not None:
                 table[(i, j)] = k
     idem = {p.source: i for i, p in enumerate(basis) if p.is_trivial}
-    unit = {i: 1 for i in idem.values()}
-    return StructureConstantAlgebra(tuple(p.label() for p in basis), table, unit, idem, basis)
+    return StructureConstantAlgebra(tuple(p.label() for p in basis), table, idem)
 
 
 def build_algebra(presentation: AlgebraPresentation) -> StructureConstantAlgebra:

@@ -86,9 +86,8 @@ def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
     index = {pair: i for i, pair in enumerate(pairs)}
     table = {(i, index[(b, c)]): index[(a, c)] for i, (a, b) in enumerate(pairs) for c in (b,) + p.above[b]}
     idem = {e: index[(e, e)] for e in p.elements}
-    unit = {i: 1 for i in idem.values()}
     labels = tuple(f"e[{y},{x}]" for (y, x) in pairs)
-    return StructureConstantAlgebra(labels, table, unit, idem)
+    return StructureConstantAlgebra(labels, table, idem)
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,6 @@ class OrderComplex:
     """Strict chains of the poset by dimension (0, 1, 2 are enough for H^0, H^1)."""
 
     simplices_by_dim: dict
-
-    def n_simplices(self, dim: int) -> int:
-        return len(self.simplices_by_dim.get(dim, []))
 
 
 def order_complex(p: Poset) -> OrderComplex:

@@ -11,11 +11,11 @@ from quiverh1.errors import InvalidPoset, NotApplicable
 from quiverh1.exactalg import BimoduleRep, _add, invariants_dim, rank, regular_bimodule
 from quiverh1.formulas import H1Report, _per_component
 from quiverh1.quiver import (
-    Arrow, ParallelPair, Path, PathBasis, Quiver, VertexId, arrow_path, connected_components, is_acyclic,
+    Arrow, ParallelPair, Path, Quiver, VertexId, arrow_path, connected_components, is_acyclic,
     path_counts, trivial_path,
 )
 from quiverh1.presentations import (
-    MonomialIdeal, StructureConstantAlgebra, _generator_spans, basis_B, check_minimal,
+    AlgebraPresentation, MonomialIdeal, StructureConstantAlgebra, _generator_spans, basis_B, check_minimal,
 )
 from quiverh1.simplicial import OrderComplex, Poset, _in_element_order
 
@@ -195,17 +195,12 @@ def h1_narrow(quiver: Quiver) -> H1Report:
     )
 
 
-def quotient_bimodule(path_algebra: StructureConstantAlgebra,
-                      quotient: StructureConstantAlgebra) -> BimoduleRep:
-    """The quotient algebra as a bimodule over the path algebra.
-
-    Both algebras must carry path bases over the same quiver; the action is
-    multiplication followed by projection onto the surviving basis paths, read
-    off the quotient basis's concatenation lookup.
+def quotient_bimodule(path_presentation: AlgebraPresentation, quotient: AlgebraPresentation) -> BimoduleRep:
+    """The quotient algebra as a bimodule over the path algebra, from two presentations
+    on the same quiver; the action is multiplication followed by projection onto the
+    surviving basis paths, read off the quotient basis's concatenation lookup.
     """
-    if path_algebra.basis_paths is None or quotient.basis_paths is None:
-        raise NotApplicable("quotient bimodule needs path bases on both algebras")
-    paths, quot = PathBasis(path_algebra.basis_paths), PathBasis(quotient.basis_paths)
+    paths, quot = path_presentation.basis, quotient.basis
     left: list[dict] = [{} for _ in paths]
     right: list[dict] = [{} for _ in paths]
     for b, p in enumerate(paths):  # p . x_j
@@ -218,7 +213,7 @@ def quotient_bimodule(path_algebra: StructureConstantAlgebra,
             k = quot.find(x, paths[b])
             if k is not None:
                 right[b][j] = k
-    return BimoduleRep(path_algebra, quotient.dimension, tuple(left), tuple(right)).validate()
+    return BimoduleRep(path_presentation.algebra, len(quot), tuple(left), tuple(right)).validate()
 
 
 # --- the invariant system that the closed-path centre count replaced ----------
@@ -539,7 +534,7 @@ def random_minimal_ideal(rng: random.Random, quiver: Quiver) -> MonomialIdeal:
             if any(occurrences(p, z) or occurrences(z, p) for z in chosen):
                 continue
             chosen.append(p)
-    return check_minimal(quiver, chosen)
+    return check_minimal(chosen)
 
 
 def random_monomial_instances(seed: int, count: int, max_dim: int = 30):

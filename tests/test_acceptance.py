@@ -61,9 +61,9 @@ def test_criterion_1_kronecker():
         q = kronecker(n)
         expected = n * n - 1
         assert h1_path_algebra_acyclic(AlgebraPresentation(q)).dim_h1 == expected
-        kq = build_algebra(AlgebraPresentation(q))
+        kq = AlgebraPresentation(q)
         rep = quotient_bimodule(kq, kq)
-        data = slice_data_from_paths(list(kq.basis_paths), invariants_dim(rep))
+        data = slice_data_from_paths(list(kq.basis), invariants_dim(rep))
         assert h1_tensor_coefficients(q, data) == expected
         assert _oracle(AlgebraPresentation(q)) == expected
     _ok(1, "n-Kronecker gives n^2 - 1 by formula, tensor coefficients and oracle (n = 2, 3, 4)")
@@ -149,10 +149,9 @@ def test_criterion_7_lower_bound(monomial_instances):
 
 def test_criterion_8_exact_sequence_consequence(monomial_instances):
     for q, Z in monomial_instances:
-        kq = build_algebra(AlgebraPresentation(q))
-        quot = build_algebra(AlgebraPresentation(q, Z))
-        rep = quotient_bimodule(kq, quot)
-        data = slice_data_from_paths(list(quot.basis_paths), invariants_dim(rep))
+        quot = AlgebraPresentation(q, Z)
+        rep = quotient_bimodule(AlgebraPresentation(q), quot)
+        data = slice_data_from_paths(list(quot.basis), invariants_dim(rep))
         n_effective = len(effective_pairs(AlgebraPresentation(q, Z)).effective)
         assert (
             h1_tensor_coefficients(q, data) - h1_monomial_acyclic(AlgebraPresentation(q, Z)).dim_h1 == n_effective

@@ -166,6 +166,10 @@ PARSE_ERRORS = [
      "non-minimal: a*b*a contains a*b"),
     (_ABC + "relation a <= b\ncovers a b\nend\n", 6, "antisymmetry violation: 'a' <= 'b' <= 'a'"),
     ("quiver q\nend\n", 1, "empty vertex set"),
+    # lines end at \n, \r\n or \r only: a form feed, NEL or line separator in a comment ends none
+    ("quiver q\nvertex x # a\x0cnote\narrow a x y\nend\n", 3, "unresolved name: vertex 'y'"),
+    ("quiver q\nvertex x # a\x85note\narrow a x y\nend\n", 3, "unresolved name: vertex 'y'"),
+    ("quiver q\nvertex x # a\u2028note\narrow a x y\nend\n", 3, "unresolved name: vertex 'y'"),
 ]
 
 
@@ -373,6 +377,20 @@ def test_main_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     assert captured.err == message + f"error: {square}: formula unavailable, use oracle\n"
     assert main(["check", str(square), str(bad)]) == EXIT_INPUT
     assert capsys.readouterr().err.endswith(message)
+
+
+def test_main_reads_a_file_with_a_byte_order_mark_as_without(tmp_path, capsys):
+    """A UTF-8 byte-order mark, as Windows Notepad saves it, is not part of the first line."""
+    text = fixture_text("kronecker2.quiver")
+    plain, marked = tmp_path / "plain.quiver", tmp_path / "marked.quiver"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outcomes = []
+    for path in (plain, marked):
+        status = main(["check", str(path)])
+        outcomes.append((status, capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == EXIT_OK
 
 
 def test_main_missing_file(capsys):

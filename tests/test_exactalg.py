@@ -39,7 +39,8 @@ from conftest import (
     reference_bar_rows, reference_derivation_space_dim,
 )
 from test_presentations import (
-    _outcome, _seeded_algebra, admissible_cycle_presentation, random_cycle_instance, truncated_cycles,
+    IDEMPOTENT_MUTATIONS, _outcome, _seeded_algebra, admissible_cycle_presentation, mutate_idempotents,
+    random_cycle_instance, truncated_cycles,
 )
 from test_simplicial import _random_poset
 
@@ -271,16 +272,13 @@ def test_opposite_invariance():
 
 
 def test_the_opposite_algebra_keeps_no_path_basis():
-    """The opposite table is not concatenation on the basis paths (on the A3 path
-    algebra, 7 of its 10 products differ), so the quotient bimodule refuses it."""
-    kq = build_algebra(AlgebraPresentation(a3()))
-    op = kq.opposite()
-    paths = kq.basis_paths
+    """The opposite table is not concatenation on the basis paths: on the A3 path
+    algebra, 7 of its 10 products differ."""
+    pres = AlgebraPresentation(a3())
+    op = pres.algebra.opposite()
+    paths = pres.basis
     assert len(op.table) == 10
     assert sum(compose(paths[i], paths[j]) != paths[k] for (i, j), k in op.table.items()) == 7
-    assert op.basis_paths is None
-    with pytest.raises(NotApplicable, match="path bases"):
-        quotient_bimodule(op, op)
 
 
 def test_prime_field_agreement():
@@ -312,18 +310,18 @@ def test_disjoint_union_additivity():
 
 def test_derivations_with_coefficients():
     q2 = kronecker(2)
-    kq = build_algebra(AlgebraPresentation(q2))
+    kq = AlgebraPresentation(q2)
     assert h1_oracle(quotient_bimodule(kq, kq)) == 3
 
     qb = branch()
-    kq = build_algebra(AlgebraPresentation(qb))
-    quot = build_algebra(AlgebraPresentation(qb, MonomialIdeal([path_of(qb, "a", "b")])))
+    kq = AlgebraPresentation(qb)
+    quot = AlgebraPresentation(qb, MonomialIdeal([path_of(qb, "a", "b")]))
     assert h1_oracle(quotient_bimodule(kq, quot)) == 3
 
     q3 = a3()
-    kq = build_algebra(AlgebraPresentation(q3))
+    kq = AlgebraPresentation(q3)
     assert h1_oracle(quotient_bimodule(kq, kq)) == 0
-    quot = build_algebra(AlgebraPresentation(q3, MonomialIdeal([path_of(q3, "a", "b")])))
+    quot = AlgebraPresentation(q3, MonomialIdeal([path_of(q3, "a", "b")]))
     assert h1_oracle(quotient_bimodule(kq, quot)) == 0
 
 
@@ -443,8 +441,7 @@ def test_bar_dims_match_the_standard_complex_on_seeded_bimodules(family, seed, p
     if family == "quotient":
         rng = random.Random(seed)
         q = random_connected_dag(rng, max_vertices=3, max_arrows=4)
-        kq = build_algebra(AlgebraPresentation(q))
-        rep = quotient_bimodule(kq, build_algebra(AlgebraPresentation(q, random_minimal_ideal(rng, q))))
+        rep = quotient_bimodule(AlgebraPresentation(q), AlgebraPresentation(q, random_minimal_ideal(rng, q)))
     else:
         rep = regular_bimodule(_seeded_algebra(family, seed))
     assume(rep.algebra.dimension <= 12)
@@ -464,7 +461,7 @@ def test_bar_dims_of_truncated_polynomials_depend_on_the_characteristic(prime):
 
 def test_bar_complex_needs_the_radical_closed_under_products():
     """k[x]/(x^2 - 1) on the basis 1, x: x * x is the idempotent 1."""
-    alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {0: 1}, {"v": 0})
+    alg = StructureConstantAlgebra(("1", "x"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, {"v": 0})
     with pytest.raises(NotApplicable, match="is an idempotent"):
         bar_cohomology_dims(regular_bimodule(alg), (0, 1))
 
@@ -564,8 +561,7 @@ def test_the_separated_pair_system_equals_the_all_pairs_one_on_seeded_bimodules(
     rng = random.Random(seed)
     if family == "quotient":
         q = random_connected_dag(rng, max_vertices=4, max_arrows=5)
-        kq = build_algebra(AlgebraPresentation(q))
-        rep = quotient_bimodule(kq, build_algebra(AlgebraPresentation(q, random_minimal_ideal(rng, q))))
+        rep = quotient_bimodule(AlgebraPresentation(q), AlgebraPresentation(q, random_minimal_ideal(rng, q)))
     else:
         if family == "cyclic":
             alg = build_algebra(admissible_cycle_presentation(rng))
@@ -637,7 +633,8 @@ def reference_validate(rep):
             if _col_compose(left[i], right[j]) != _col_compose(right[j], left[i]):
                 raise AssertionError(f"actions do not commute at ({i}, {j})")
     ident = {j: {j: 1} for j in range(rep.dim)}
-    if _col_combo(left, alg.unit) != ident or _col_combo(right, alg.unit) != ident:
+    unit = {e: 1 for e in alg.vertex_idempotents.values()}  # the sum of the vertex idempotents
+    if _col_combo(left, unit) != ident or _col_combo(right, unit) != ident:
         raise AssertionError("unit does not act as identity")
 
 
@@ -671,26 +668,40 @@ def test_validate_rejects_exactly_what_the_column_operators_reject(family, seed,
     assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)
 
 
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(["monomial", "truncated", "incidence"]),
+    seed=st.integers(0, 2**32 - 1),
+    mutation=st.sampled_from(IDEMPOTENT_MUTATIONS),
+    pick=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 2**32 - 1),
+)
+def test_validate_rejects_exactly_what_the_column_operators_reject_on_the_unit(family, seed, mutation, pick, target):
+    """The regular actions over an algebra whose vertex idempotents, and so whose unit,
+    are mutated: the unit test on the idempotents' index maps fails where the column
+    operators' sum does, with the same message."""
+    alg = _seeded_algebra(family, seed)
+    rep = regular_bimodule(alg)
+    bad = BimoduleRep(mutate_idempotents(alg, mutation, pick, target), rep.dim, rep.left, rep.right)
+    assert _outcome(BimoduleRep.validate, bad) == _outcome(reference_validate, bad)
+
+
 def test_builders_store_product_indices():
     q = branch()
     poset = Poset.from_pairs(["a", "b", "c", "d"], [("c", "a"), ("d", "a"), ("c", "b"), ("d", "b")])
-    kq = build_algebra(AlgebraPresentation(q))
-    quot = build_algebra(AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")])))
-    algebras = [
-        kq,
-        quot,
-        build_algebra(AlgebraPresentation(cycle(3), TruncationIdeal(2))),
-        build_algebra(AlgebraPresentation(a3(), TruncationIdeal(2))),
-        incidence_algebra(poset),
-    ]
+    kq = AlgebraPresentation(q)
+    quot = AlgebraPresentation(q, MonomialIdeal([path_of(q, "a", "b")]))
+    presentations = [kq, quot, AlgebraPresentation(cycle(3), TruncationIdeal(2)),
+                     AlgebraPresentation(a3(), TruncationIdeal(2))]
+    algebras = [build_algebra(pres) for pres in presentations] + [incidence_algebra(poset)]
     algebras += [alg.opposite() for alg in algebras]
     for alg in algebras:
         assert alg.table and all(type(k) is int for k in alg.table.values())
         rep = regular_bimodule(alg)
         assert all(type(n) is int for op in rep.left + rep.right for n in op.values())
-    for alg in algebras[:4]:  # path bases: the index is the concatenation
-        paths = alg.basis_paths
-        for (i, j), k in alg.table.items():
+    for pres in presentations:  # path bases: the index is the concatenation
+        paths = pres.basis
+        for (i, j), k in pres.algebra.table.items():
             assert compose(paths[i], paths[j]) == paths[k]
     rep = quotient_bimodule(kq, quot)
     assert any(rep.left) and any(rep.right)
@@ -724,7 +735,7 @@ def test_verification_scales_with_the_nonzero_products():
     regular_bimodule and by validate() on the bimodule it returns."""
     d = 20000
     semisimple_big = StructureConstantAlgebra(tuple(f"e{i}" for i in range(d)), {(i, i): i for i in range(d)},
-                                              {i: 1 for i in range(d)}, {f"v{i}": i for i in range(d)})
+                                              {f"v{i}": i for i in range(d)})
     fib = build_algebra(AlgebraPresentation(fib_dag(11)))
     assert fib.dimension == 596
     for alg in (semisimple_big, fib):
@@ -750,26 +761,26 @@ def reference_products(lefts, rights, target):
 
 
 def _path_bases():
-    """(path algebra, quotient) pairs on acyclic and cyclic quivers."""
+    """(path algebra, quotient) presentation pairs on acyclic and cyclic quivers."""
     rng = random.Random(41)
     for _ in range(25):
         q = random_connected_dag(rng, max_vertices=5, max_arrows=7)
         Z = random_minimal_ideal(rng, q)
-        yield build_algebra(AlgebraPresentation(q)), build_algebra(AlgebraPresentation(q, Z))
+        yield AlgebraPresentation(q), AlgebraPresentation(q, Z)
     for n in (1, 2, 3):
         for m in (2, 3, 4):
-            yield (build_algebra(AlgebraPresentation(cycle(n), TruncationIdeal(m + 1))),
-                   build_algebra(AlgebraPresentation(cycle(n), TruncationIdeal(m))))
+            yield (AlgebraPresentation(cycle(n), TruncationIdeal(m + 1)),
+                   AlgebraPresentation(cycle(n), TruncationIdeal(m)))
 
 
 def test_path_tables_and_quotient_actions_match_composing_every_pair():
     for kq, quot in _path_bases():
-        for alg in (kq, quot):
-            assert alg.table == reference_products(alg.basis_paths, alg.basis_paths, alg.basis_paths)
+        for pres in (kq, quot):
+            assert pres.algebra.table == reference_products(pres.basis, pres.basis, pres.basis)
         rep = quotient_bimodule(kq, quot)
-        left = reference_products(kq.basis_paths, quot.basis_paths, quot.basis_paths)
-        right = reference_products(quot.basis_paths, kq.basis_paths, quot.basis_paths)
+        left = reference_products(kq.basis, quot.basis, quot.basis)
+        right = reference_products(quot.basis, kq.basis, quot.basis)
         assert list(rep.left) == [
-            {j: k for (b, j), k in left.items() if b == c} for c in range(kq.dimension)]
+            {j: k for (b, j), k in left.items() if b == c} for c in range(len(kq.basis))]
         assert list(rep.right) == [
-            {j: k for (j, b), k in right.items() if b == c} for c in range(kq.dimension)]
+            {j: k for (j, b), k in right.items() if b == c} for c in range(len(kq.basis))]

@@ -9,7 +9,7 @@ from quiverh1.errors import FormulaUnavailable, InfiniteBasis, InvalidQuiver, No
 from quiverh1.exactalg import h1_oracle, invariants_dim, regular_bimodule
 from quiverh1.formulas import (
     FORMULAS,
-    _parallel_basis_paths,
+    _paths_parallel_to_arrows,
     _parallel_path_counts,
     CoupleClassification,
     H1Report,
@@ -177,10 +177,9 @@ def test_h1_pregenerated_rejects():
 
 
 def _tensor_data(quiver, Z):
-    kq = build_algebra(AlgebraPresentation(quiver))
-    quot = build_algebra(AlgebraPresentation(quiver, Z))
-    rep = quotient_bimodule(kq, quot)
-    return slice_data_from_paths(list(quot.basis_paths), invariants_dim(rep)), rep
+    quot = AlgebraPresentation(quiver, Z)
+    rep = quotient_bimodule(AlgebraPresentation(quiver), quot)
+    return slice_data_from_paths(list(quot.basis), invariants_dim(rep)), rep
 
 
 def test_h1_tensor_coefficients_examples():
@@ -481,7 +480,7 @@ def _assert_parallel_search_reads_the_basis(q, Z):
     """For each arrow, the pruned search finds the basis paths parallel to it in basis order,
     and keys nothing that no arrow is parallel to."""
     B = PathBasis(basis_B(q, Z))
-    found = _parallel_basis_paths(q, Z)
+    found = _paths_parallel_to_arrows(q, Z)
     for a in q.arrows:
         assert found.get((a.source, a.target), []) == [B[i] for i in B.between.get((a.source, a.target), ())]
     assert set(found) <= {(a.source, a.target) for a in q.arrows}

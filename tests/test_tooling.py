@@ -123,23 +123,44 @@ KEEP = {
 
 
 def test_every_top_level_definition_is_reached():
-    """A top-level function or class of the package is used elsewhere in it (read from
-    the syntax tree, outside its own definition), is public API, is traced by the
-    benchmark or is on KEEP; anything else belongs in the tests."""
-    defined = {}  # (module, statement index) -> name, for each top-level function or class
-    reads = set()  # (module, statement index, name) for each name a top-level statement reads
+    """A top-level function or class of the package, or a method or property of a class
+    outside ``__all__``, is used elsewhere in it (read from the syntax tree, outside its own
+    definition), is public API, is traced by the benchmark (a method under its last name
+    component) or is on KEEP; anything else belongs in the tests.  Dunder methods are
+    called by Python itself and are not counted."""
+    defined = {}  # (module, statement index, member index or None) -> qualified name
+    reads = set()  # (module, statement index, member index or None, name) for each name read
+
+    def read(module, k, j, tree):
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                reads.add((module, k, j, n.id if isinstance(n, ast.Name) else n.attr))
+
     for path in (ROOT / "src" / "quiverh1").glob("*.py"):
+        module = path.stem
         for k, node in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[(path.stem, k)] = node.name
-            for n in ast.walk(node):
-                if isinstance(n, (ast.Name, ast.Attribute)):
-                    reads.add((path.stem, k, n.id if isinstance(n, ast.Name) else n.attr))
-    assert set(KEEP) <= {f"{module}.{name}" for (module, _), name in defined.items()}
-    kept = set(quiverh1.__all__) | {target.split(".")[1] for target in _bench_spans().TRACED}
-    unreached = [f"{module}.{name}" for (module, k), name in defined.items()
-                 if name not in kept and f"{module}.{name}" not in KEEP
-                 and not any(n == name and (m, i) != (module, k) for m, i, n in reads)]
+                defined[(module, k, None)] = f"{module}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                read(module, k, None, node)
+                continue
+            for part in (*node.decorator_list, *node.bases, *node.keywords):
+                read(module, k, None, part)
+            for j, member in enumerate(node.body):
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                        and node.name not in quiverh1.__all__):
+                    defined[(module, k, j)] = f"{module}.{node.name}.{member.name}"
+                read(module, k, j, member)
+    assert set(KEEP) <= set(defined.values())
+    assert "simplicial.Poset.above" not in defined.values()  # Poset is public API
+    assert "cli.RunReport.to_json" in defined.values()  # the methods are found
+    kept = set(quiverh1.__all__) | {target.split(".")[-1] for target in _bench_spans().TRACED}
+    unreached = []
+    for (module, k, j), qualified in defined.items():
+        name = qualified.split(".")[-1]
+        outside = ((m, i) != (module, k) or j not in (None, jj) for m, i, jj, n in reads if n == name)
+        if name not in kept and qualified not in KEEP and not any(outside):
+            unreached.append(qualified)
     assert unreached == []
 
 
