@@ -46,7 +46,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import exactalg, formulas, simplicial
@@ -57,7 +56,7 @@ from .presentations import (
     build_algebra,
     check_minimal,
 )
-from .quiver import Arrow, Path, Quiver, validate
+from .quiver import Arrow, Path, Quiver, Record, validate
 from .simplicial import Poset
 
 EXIT_OK = 0
@@ -67,22 +66,20 @@ EXIT_UNSUPPORTED = 3
 _SEVERITY = (EXIT_OK, EXIT_UNSUPPORTED, EXIT_INPUT, EXIT_MISMATCH)  # least to most severe
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    kind: str  # "quiver-presentation" | "poset"
-    name: str
-    body: Union[AlgebraPresentation, Poset]
+class InputDocument(Record):
+    fields = ("kind", "name", "body")
+
+    def __init__(self, kind: str, name: str, body: Union[AlgebraPresentation, Poset]):
+        self._set(kind=kind, name=name, body=body)  # kind: "quiver-presentation" | "poset"
 
 
-@dataclass
 class RunReport:
-    name: str
-    field: str
-    methods: dict = field(default_factory=dict)  # method -> dim_h1
-    intermediates: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    unavailable: Optional[FormulaUnavailable] = None  # set when a method had no formula
+    def __init__(self, name: str, field: str):
+        self.name, self.field = name, field
+        self.methods: dict = {}  # method -> dim_h1
+        self.intermediates, self.checks = {}, {}
+        self.elapsed = 0.0
+        self.unavailable: Optional[FormulaUnavailable] = None  # set when a method had no formula
 
     @property
     def agree(self) -> bool:

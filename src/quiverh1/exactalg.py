@@ -22,7 +22,6 @@ eliminates, so a caller may generate a system row by row, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import ComplexFault, NotApplicable
 from .presentations import StructureConstantAlgebra, composite_failures
-from .quiver import VertexId
+from .quiver import Record, VertexId
 
 Row = dict  # column -> scalar
 
@@ -172,18 +171,17 @@ def _endpoints(alg: StructureConstantAlgebra) -> tuple[dict[int, VertexId], dict
     return vertex, tgt, starting
 
 
-@dataclass(frozen=True)
-class BimoduleRep:
+class BimoduleRep(Record):
     """A bimodule over a structure-constant algebra, via index-map actions.
 
     ``left[b][m] = n`` means b.x_m = x_n and ``right[b][m] = n`` means
     x_m.b = x_n; absent keys mean zero.
     """
 
-    algebra: StructureConstantAlgebra
-    dim: int
-    left: tuple
-    right: tuple
+    fields = ("algebra", "dim", "left", "right")
+
+    def __init__(self, algebra: StructureConstantAlgebra, dim: int, left: tuple, right: tuple):
+        self._set(algebra=algebra, dim=dim, left=left, right=right)
 
     def validate(self) -> "BimoduleRep":
         """Assert both actions are homomorphisms that commute and the unit acts as 1, on a

@@ -16,7 +16,6 @@ check it in that direction (``h1_bound_monomial`` in ``tests/conftest.py``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import NotApplicable, FormulaUnavailable
@@ -33,29 +32,31 @@ from .quiver import (
     Path,
     PathBasis,
     Quiver,
+    Record,
     VertexId,
     arrow_path,
     connected_components,
     reaching,
+    validate,
 )
 
 
-@dataclass(frozen=True)
-class CoupleClassification:
+class CoupleClassification(Record):
     """Arrow/basis-path parallel couples split into glued, effective and the rest."""
 
-    all: tuple[ParallelPair, ...]
-    glued: tuple[ParallelPair, ...]
-    effective: tuple[ParallelPair, ...]
-    non_effective: tuple[ParallelPair, ...]
+    fields = ("all", "glued", "effective", "non_effective")
+
+    def __init__(self, all: tuple, glued: tuple, effective: tuple, non_effective: tuple):
+        self._set(all=all, glued=glued, effective=effective, non_effective=non_effective)
 
 
-@dataclass
-class H1Report:
-    dim_h1: int
-    method: str
-    per_component: list[tuple[str, int]] = field(default_factory=list)
-    intermediates: dict = field(default_factory=dict)
+class H1Report(Record):
+    fields = ("dim_h1", "method", "per_component", "intermediates")
+    __setattr__ = object.__setattr__  # a report may be amended
+
+    def __init__(self, dim_h1: int, method: str, per_component: Optional[list[tuple[str, int]]] = None,
+                 intermediates: Optional[dict] = None):
+        self._set(dim_h1=dim_h1, method=method, per_component=per_component or [], intermediates=intermediates or {})
 
 
 def _paths_parallel_to_arrows(quiver: Quiver, Z: MonomialIdeal) -> dict[tuple[VertexId, VertexId], list[Path]]:
@@ -186,12 +187,13 @@ def h1_monomial_acyclic(presentation: AlgebraPresentation) -> H1Report:
 def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     """dim Z(A) - sum of diagonal slices + weighted arrow/slice sum (pre-generated ideals),
     i.e. the tensor-coefficients formula with X = A, X^T = Z(A) and X^E the diagonal
-    slices.  The basis is read first, so an infinite one raises InfiniteBasis before the
-    pre-generated test; dim Z(A) is the presentation's count, and no algebra is built."""
+    slices, counted without building an algebra.  A truncation is tested before its basis
+    is listed; any other basis is listed first, so an infinite one raises InfiniteBasis."""
     q, kind = presentation.quiver, presentation.kind
+    if kind == "truncated" and not truncated_is_pregenerated(validate(q), presentation.scheme.m):
+        raise NotApplicable("not pre-generated")
     basis = presentation.basis  # raises InfiniteBasis
-    if (kind == "monomial" and not is_pregenerated_monomial(presentation)
-            or kind == "truncated" and not truncated_is_pregenerated(q, presentation.scheme.m)):
+    if kind == "monomial" and not is_pregenerated_monomial(presentation):
         raise NotApplicable("not pre-generated")
     data = slice_data_from_paths(basis, presentation.center_dim)
     dim = h1_tensor_coefficients(q, data)
@@ -202,14 +204,14 @@ def h1_pregenerated(presentation: AlgebraPresentation) -> H1Report:
     )
 
 
-@dataclass(frozen=True)
-class BimoduleSliceData:
+class BimoduleSliceData(Record):
     """Vertex-pair slice dimensions of a bimodule over a path algebra, plus the
     dimensions of its idempotent-diagonal part and its full invariant part."""
 
-    slice_dims: dict[tuple[VertexId, VertexId], int]
-    dim_X_E: int
-    dim_X_T: int
+    fields = ("slice_dims", "dim_X_E", "dim_X_T")
+
+    def __init__(self, slice_dims: dict[tuple[VertexId, VertexId], int], dim_X_E: int, dim_X_T: int):
+        self._set(slice_dims=slice_dims, dim_X_E=dim_X_E, dim_X_T=dim_X_T)
 
 
 def slice_data_from_paths(module_paths: list[Path], dim_X_T: int) -> BimoduleSliceData:

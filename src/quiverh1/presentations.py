@@ -7,7 +7,6 @@ at level m keeps paths of length < m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -16,6 +15,7 @@ from .quiver import (
     Path,
     PathBasis,
     Quiver,
+    Record,
     VertexId,
     enumerate_paths,
     path_counts,
@@ -24,47 +24,46 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A minimal set of paths of length >= 2 generating a two-sided ideal."""
 
-    generators: tuple[Path, ...]
+    fields = ("generators",)
 
     def __init__(self, generators: Iterable[Path]):
         unique: dict = {}  # Path.sort_key() -> the first generator with it; no Path is hashed
         for z in generators:
             unique.setdefault(z.sort_key(), z)
-        gens = [unique[key] for key in sorted(unique)]
-        object.__setattr__(self, "generators", tuple(gens))
+        gens = tuple(unique[key] for key in sorted(unique))
         # arrow-name tuples of the generators, and their lengths, for matching
-        object.__setattr__(self, "names", frozenset(z.arrow_names() for z in gens))
-        object.__setattr__(self, "lengths", tuple(sorted({z.length for z in gens})))
+        self._set(generators=gens, names=frozenset(z.arrow_names() for z in gens),
+                  lengths=tuple(sorted({z.length for z in gens})))
 
     @property
     def max_generator_length(self) -> int:
         return max((z.length for z in self.generators), default=0)
 
 
-@dataclass(frozen=True)
-class TruncationIdeal:
-    m: int
+class TruncationIdeal(Record):
+    fields = ("m",)
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidIdeal(f"truncation level must be >= 2, got {self.m}")
+    def __init__(self, m: int):
+        if m < 2:
+            raise InvalidIdeal(f"truncation level must be >= 2, got {m}")
+        self._set(m=m)
 
 
 Scheme = Union[None, MonomialIdeal, TruncationIdeal]
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A quiver with one relation scheme: None (no relations), a MonomialIdeal or a
     TruncationIdeal.  Its basis, centre dimension and algebra are computed once, on first use.
     """
 
-    quiver: Quiver
-    scheme: Scheme = None
+    fields = ("quiver", "scheme")
+
+    def __init__(self, quiver: Quiver, scheme: Scheme = None):
+        self._set(quiver=quiver, scheme=scheme)
 
     @property
     def kind(self) -> str:
@@ -243,8 +242,7 @@ def truncation_generators(quiver: Quiver, m: int) -> MonomialIdeal:
 # --- structure-constant algebras ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureConstantAlgebra:
+class StructureConstantAlgebra(Record):
     """A finite-dimensional algebra on a multiplicative basis.
 
     ``table[(i, j)] = k`` means b_i b_j = b_k; absent keys mean zero.  Every
@@ -253,9 +251,10 @@ class StructureConstantAlgebra:
     sum of the vertex idempotents.
     """
 
-    basis: tuple[str, ...]
-    table: dict[tuple[int, int], int]
-    vertex_idempotents: dict[VertexId, int]
+    fields = ("basis", "table", "vertex_idempotents")
+
+    def __init__(self, basis: tuple[str, ...], table: dict, vertex_idempotents: dict[VertexId, int]):
+        self._set(basis=basis, table=table, vertex_idempotents=vertex_idempotents)
 
     @property
     def dimension(self) -> int:

@@ -1,4 +1,5 @@
-"""Finite quivers (directed multigraphs), paths and structural predicates.
+"""Finite quivers (directed multigraphs), paths and structural predicates, and ``Record``,
+the base of the package's value classes, which spares every run the import of ``dataclasses``.
 
 Paths compose diagram-style: ``compose(p, q)`` is "p then q".  All reported
 slice dimensions elsewhere in the package follow the convention that the
@@ -8,7 +9,6 @@ under the opposite convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
@@ -17,24 +17,51 @@ from .errors import InfinitePathSet, InvalidQuiver
 VertexId = str
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: VertexId
-    target: VertexId
+class Record:
+    """A value compared, hashed and printed (``Name(field=value, ...)``) by the fields its class names in
+    ``fields``; only ``_set`` and ``cached_property`` write it, and assigning or deleting raises AttributeError."""
+
+    fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        vars(self).update(values)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(vars(self)[f] for f in self.fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={v!r}" for f, v in zip(self.fields, self._values()))
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Arrow(Record):
+    fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: VertexId, target: VertexId):
+        self._set(name=name, source=source, target=target)
+
+
+class Quiver(Record):
     """Vertices and arrows in insertion order; iteration order is deterministic.  The arrows leaving
     and entering each vertex, and acyclicity, read after ``validate``, are computed once per quiver."""
 
-    vertices: tuple[VertexId, ...]
-    arrows: tuple[Arrow, ...]
+    fields = ("vertices", "arrows")
 
     def __init__(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow] = ()):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "arrows", tuple(arrows))
+        self._set(vertices=tuple(vertices), arrows=tuple(arrows))
 
     @cached_property
     def successors(self) -> dict[VertexId, tuple[Arrow, ...]]:
@@ -58,13 +85,11 @@ class Quiver:
         return not reaches_cycle(self.vertices, lambda v: (a.target for a in self.successors[v]))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A composable arrow sequence; an empty sequence is the trivial path at ``source``.
     Its arrow names are stored once, as ``arrow_names()``."""
 
-    source: VertexId
-    arrows: tuple[Arrow, ...] = ()
+    fields = ("source", "arrows")
 
     def __init__(self, source: VertexId, arrows: Iterable[Arrow] = ()):
         arrows = tuple(arrows)
@@ -74,15 +99,12 @@ class Path:
             for a, b in zip(arrows, arrows[1:]):
                 if a.target != b.source:
                     raise ValueError(f"arrows {a.name!r} and {b.name!r} are not composable")
-        self._fill(source, arrows, tuple(a.name for a in arrows))
-
-    def _fill(self, source: VertexId, arrows: tuple[Arrow, ...], names: tuple[str, ...]) -> "Path":
-        vars(self).update(source=source, arrows=arrows, _names=names)
-        return self
+        self._set(source=source, arrows=arrows, _names=tuple(a.name for a in arrows))
 
     def _then(self, a: Arrow) -> "Path":
         """This path followed by arrow a, which must start at its target (not re-checked)."""
-        return object.__new__(Path)._fill(self.source, self.arrows + (a,), self._names + (a.name,))
+        names = self._names + (a.name,)
+        return object.__new__(Path)._set(source=self.source, arrows=self.arrows + (a,), _names=names)
 
     @property
     def target(self) -> VertexId:
@@ -108,16 +130,15 @@ class Path:
         return (len(self._names), self._names, self.source)
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class ParallelPair(Record):
     """Two paths sharing both endpoints."""
 
-    left: Path
-    right: Path
+    fields = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.source != self.right.source or self.left.target != self.right.target:
+    def __init__(self, left: Path, right: Path):
+        if left.source != right.source or left.target != right.target:
             raise ValueError("members of a parallel pair must share source and target")
+        self._set(left=left, right=right)
 
 
 def trivial_path(v: VertexId) -> Path:

@@ -14,21 +14,22 @@ complex, which checks delta^1 . delta^0 = 0 over the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidPoset
 from .exactalg import Row, cohomology_dims
 from .presentations import StructureConstantAlgebra
+from .quiver import Record
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """Elements in insertion order with a closed (reflexive, transitive) relation."""
 
-    elements: tuple[str, ...]
-    relation: frozenset  # pairs (a, b) meaning a <= b
+    fields = ("elements", "relation")
+
+    def __init__(self, elements: tuple[str, ...], relation: frozenset):  # pairs (a, b) meaning a <= b
+        self._set(elements=elements, relation=relation)
 
     @classmethod
     def from_pairs(cls, elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Poset":
@@ -90,11 +91,13 @@ def incidence_algebra(p: Poset) -> StructureConstantAlgebra:
     return StructureConstantAlgebra(labels, table, idem)
 
 
-@dataclass(frozen=True)
-class OrderComplex:
+class OrderComplex(Record):
     """Strict chains of the poset by dimension (0, 1, 2 are enough for H^0, H^1)."""
 
-    simplices_by_dim: dict
+    fields = ("simplices_by_dim",)
+
+    def __init__(self, simplices_by_dim: dict):
+        self._set(simplices_by_dim=simplices_by_dim)
 
 
 def order_complex(p: Poset) -> OrderComplex:

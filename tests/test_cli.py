@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FsPath
 
@@ -424,6 +425,22 @@ def test_main_cyclic_formula_statuses(tmp_path, capsys):
     assert status == {"nonadmissible": EXIT_INPUT, "norelations": EXIT_INPUT,
                       "pregenerated": EXIT_OK}
     capsys.readouterr()
+
+
+def test_formula_tests_a_truncation_before_it_lists_the_basis(tmp_path, capsys):
+    """Two loops at one vertex truncated at m = 15 have 2^15 - 1 basis paths, and the
+    truncation is not pre-generated: path counts decide that without listing one."""
+    f = tmp_path / "loops.quiver"
+    f.write_text("quiver loops\nvertex x\narrow a x x\narrow b x x\nrelation truncate 15\nend\n")
+    tracemalloc.start()
+    try:
+        status = main(["formula", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_UNSUPPORTED
+    assert capsys.readouterr().err == f"error: {f}: formula unavailable, use oracle\n"
+    assert peak < 2 * 2**20, peak
 
 
 def test_parse_reports_a_non_minimal_relation_at_its_own_line():

@@ -2,11 +2,13 @@
 exists, the package imports nothing outside the standard library, its modules
 import one another without a cycle, the oracle's entry point is the one place an
 algebra is verified, it defines nothing that nothing reaches, every error class
-is raised somewhere, and the CLI has a fixed set of options."""
+is raised somewhere, the CLI has a fixed set of options, and importing it loads
+no ``dataclasses``."""
 
 import ast
 import graphlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path as FsPath
 
@@ -184,3 +186,13 @@ def test_the_cli_has_a_fixed_set_of_options():
     """Adding a flag is a deliberate edit of this test."""
     options = {opt for action in quiverh1.cli._parser()._actions for opt in action.option_strings}
     assert options == {"-h", "--help", "--field", "--json", "--per-component"}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """Every CLI call pays for its import: ``dataclasses`` and what it pulls in
+    (``inspect``, ``ast``, ``dis``, ...) took longer than most documents' work."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import quiverh1.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
